@@ -73,6 +73,7 @@ void BM_SubtreeJlSums(benchmark::State& state) {
   for (auto _ : state) {
     cfcm::SubtreeJlSums(forest, roots, sketch, buf.data());
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes() * w);
 }
@@ -92,6 +93,29 @@ void BM_PrefixPasses(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
 BENCHMARK(BM_PrefixPasses);
+
+void BM_JlPrefixPass(benchmark::State& state) {
+  const Graph& g = SharedBaGraph(10000);
+  const int w = static_cast<int>(state.range(0));
+  const cfcm::TreeScaffold scaffold = cfcm::MakeTreeScaffold(g, {0});
+  const cfcm::JlSketch sketch(w, g.num_nodes(), 3);
+  cfcm::ForestSampler sampler(g);
+  cfcm::Rng rng(4);
+  const cfcm::RootedForest& forest = sampler.Sample(scaffold.is_root, &rng);
+  const std::size_t entries = static_cast<std::size_t>(g.num_nodes()) * w;
+  std::vector<double> sub(entries);
+  std::vector<double> ybuf(entries);
+  std::vector<NodeId> yrow(static_cast<std::size_t>(g.num_nodes()));
+  cfcm::SubtreeJlSums(forest, scaffold.is_root, sketch, sub.data());
+  for (auto _ : state) {
+    cfcm::JlPrefixPass(scaffold, forest, sub.data(), w, ybuf.data(),
+                       yrow.data());
+    benchmark::DoNotOptimize(ybuf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes() * w);
+}
+BENCHMARK(BM_JlPrefixPass)->Arg(8)->Arg(24)->Arg(64);
 
 void BM_CgGroundedSolve(benchmark::State& state) {
   const Graph& g = SharedBaGraph(static_cast<NodeId>(state.range(0)));
@@ -122,16 +146,19 @@ void BM_LdltFactorize(benchmark::State& state) {
 BENCHMARK(BM_LdltFactorize)->Arg(100)->Arg(400);
 
 void BM_JlColumn(benchmark::State& state) {
-  const cfcm::JlSketch sketch(64, 100000, 9);
-  std::vector<double> out(64);
+  const int w = static_cast<int>(state.range(0));
+  const cfcm::JlSketch sketch(w, 100000, 9);
+  std::vector<double> out(static_cast<std::size_t>(w));
   NodeId v = 0;
   for (auto _ : state) {
     sketch.ColumnInto(v, out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
     v = (v + 1) % 100000;
   }
+  state.SetItemsProcessed(state.iterations() * w);
 }
-BENCHMARK(BM_JlColumn);
+BENCHMARK(BM_JlColumn)->Arg(8)->Arg(24)->Arg(64);
 
 }  // namespace
 

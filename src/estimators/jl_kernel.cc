@@ -60,7 +60,7 @@ std::int64_t JlForestKernel::ProcessForest(std::size_t slot,
   SubtreeJlSums(*ws.forest, scaffold_.is_root, sketch_, ws.sub.data());
   DiagPrefixPass(scaffold_, *ws.forest, &ws.xbuf);
   JlPrefixPass(scaffold_, *ws.forest, ws.sub.data(), jl_rows_,
-               ws.ybuf.data());
+               ws.ybuf.data(), ws.yrow.data());
   return walk_steps;
 }
 
@@ -73,7 +73,8 @@ void JlForestKernel::Accumulate(std::size_t slot, NodeId begin, NodeId end) {
     const double x = ws.xbuf[u];
     partial_sum_x_[u] += x;
     partial_sum_sq_x_[u] += x * x;
-    const double* yr = ws.ybuf.data() + static_cast<std::size_t>(u) * w;
+    const double* yr =
+        ws.ybuf.data() + static_cast<std::size_t>(ws.yrow[u]) * w;
     double* acc = partial_sum_y_.data() + static_cast<std::size_t>(u) * w;
     double sq = 0;
     for (int j = 0; j < w; ++j) {

@@ -76,14 +76,16 @@ class JlForestKernel : public ForestKernel {
         : sampler(graph),
           xbuf(static_cast<std::size_t>(graph.num_nodes())),
           sub(static_cast<std::size_t>(graph.num_nodes()) * w),
-          ybuf(static_cast<std::size_t>(graph.num_nodes()) * w) {}
+          ybuf(static_cast<std::size_t>(graph.num_nodes()) * w),
+          yrow(static_cast<std::size_t>(graph.num_nodes())) {}
 
     ForestSampler sampler;
     const RootedForest* forest = nullptr;  ///< last sampled forest
     RootedForest replay;       ///< arena-replayed forest (when used)
     std::vector<double> xbuf;
     std::vector<double> sub;   ///< JL subtree sums, node-major n x w
-    std::vector<double> ybuf;  ///< Y_f, node-major n x w
+    std::vector<double> ybuf;  ///< Y_f rows, node-major n x w
+    std::vector<NodeId> yrow;  ///< Y_f(u) is ybuf row yrow[u]
   };
 
   /// Subclass hook, called inside the ordered shard commit after the

@@ -43,28 +43,33 @@ void OnesPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
 }
 
 void JlPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
-                  const double* sub, int w, double* ybuf) {
+                  const double* sub, int w, double* ybuf, NodeId* rows) {
   const auto& bfs = scaffold.bfs;
   for (NodeId u : bfs.order) {
     double* yu = ybuf + static_cast<std::size_t>(u) * w;
     if (scaffold.is_root[u]) {
       std::memset(yu, 0, sizeof(double) * static_cast<std::size_t>(w));
+      rows[u] = u;
       continue;
     }
     const NodeId p = bfs.parent[u];
-    const double* yp = ybuf + static_cast<std::size_t>(p) * w;
-    const double iw = scaffold.up_inv_weight[u];
     const bool fwd = forest.parent[u] == p;
     const bool bwd = forest.parent[p] == u;
-    if (fwd && !bwd) {
+    if (fwd == bwd) {
+      // Neither direction (or both, impossible in a forest): Y_f(u) is
+      // Y_f(p), so u reads p's row.
+      rows[u] = rows[p];
+      continue;
+    }
+    const double* yp = ybuf + static_cast<std::size_t>(rows[p]) * w;
+    const double iw = scaffold.up_inv_weight[u];
+    rows[u] = u;
+    if (fwd) {
       const double* su = sub + static_cast<std::size_t>(u) * w;
       for (int j = 0; j < w; ++j) yu[j] = yp[j] + su[j] * iw;
-    } else if (bwd && !fwd) {
+    } else {
       const double* sp = sub + static_cast<std::size_t>(p) * w;
       for (int j = 0; j < w; ++j) yu[j] = yp[j] - sp[j] * iw;
-    } else {
-      // Neither direction (or both, impossible in a forest): copy.
-      std::memcpy(yu, yp, sizeof(double) * static_cast<std::size_t>(w));
     }
   }
 }

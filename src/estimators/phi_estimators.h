@@ -42,10 +42,16 @@ void OnesPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
 
 /// \brief Per-forest JL-weighted statistics Y_f(u) in R^w with
 /// E[Y_{j,f}(u)] = (W L_{-S}^{-1})_{ju}. `sub` are the JL subtree sums
-/// (SubtreeJlSums, node-major n*w). Writes node-major into ybuf (n*w;
-/// roots get 0). O(n*w).
+/// (SubtreeJlSums, node-major n*w).
+///
+/// Y_f(u) is row rows[u] of the node-major n*w buffer ybuf; roots get 0.
+/// Most BFS edges are not forest edges, and across one Y_f(u) equals
+/// Y_f(bfs parent): such a node shares its parent's row (rows[u] =
+/// rows[p]) instead of copying it, and row u of ybuf is left untouched.
+/// Every other node owns its row (rows[u] == u). `rows` has n entries.
+/// O(n*w) at worst, O(w) per owned row.
 void JlPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
-                  const double* sub, int w, double* ybuf);
+                  const double* sub, int w, double* ybuf, NodeId* rows);
 
 }  // namespace cfcm
 

@@ -45,6 +45,7 @@ class ReuseKernel final : public ForestKernel {
       ws->xbuf.assign(n, 0.0);
       ws->sub.assign(n * jl_rows, 0.0);
       ws->ybuf.assign(n * jl_rows, 0.0);
+      ws->yrow.assign(n, 0);
       scratch_.push_back(std::move(ws));
     }
   }
@@ -84,7 +85,8 @@ class ReuseKernel final : public ForestKernel {
 
     SubtreeJlSums(f, scaffold_.is_root, sketch_, ws.sub.data());
     DiagPrefixPass(scaffold_, f, &ws.xbuf);
-    JlPrefixPass(scaffold_, f, ws.sub.data(), jl_rows_, ws.ybuf.data());
+    JlPrefixPass(scaffold_, f, ws.sub.data(), jl_rows_, ws.ybuf.data(),
+                 ws.yrow.data());
     return 0;
   }
 
@@ -98,7 +100,8 @@ class ReuseKernel final : public ForestKernel {
       const double x = ws.xbuf[u];
       wsum_x_[u] += wgt * x;
       wsum_sq_x_[u] += wgt * x * x;
-      const double* yr = ws.ybuf.data() + static_cast<std::size_t>(u) * w;
+      const double* yr =
+          ws.ybuf.data() + static_cast<std::size_t>(ws.yrow[u]) * w;
       double* acc = wsum_y_.data() + static_cast<std::size_t>(u) * w;
       double sq = 0;
       for (int j = 0; j < w; ++j) {
@@ -133,6 +136,7 @@ class ReuseKernel final : public ForestKernel {
     std::vector<double> xbuf;
     std::vector<double> sub;
     std::vector<double> ybuf;
+    std::vector<NodeId> yrow;
     double weight = 0.0;
   };
 

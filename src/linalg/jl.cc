@@ -1,5 +1,7 @@
 #include "linalg/jl.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -20,16 +22,15 @@ JlSketch::JlSketch(int num_rows, NodeId num_cols, uint64_t seed)
 
 void JlSketch::ColumnInto(NodeId v, double* out) const {
   const uint64_t* words = &words_[static_cast<std::size_t>(v) * num_words_];
-  for (int j = 0; j < num_rows_; ++j) {
-    out[j] = ((words[j >> 6] >> (j & 63)) & 1) != 0 ? scale_ : -scale_;
-  }
-}
-
-void JlSketch::AddColumn(NodeId v, double alpha, double* acc) const {
-  const uint64_t* words = &words_[static_cast<std::size_t>(v) * num_words_];
-  const double plus = alpha * scale_;
-  for (int j = 0; j < num_rows_; ++j) {
-    acc[j] += ((words[j >> 6] >> (j & 63)) & 1) != 0 ? plus : -plus;
+  const uint64_t magnitude = std::bit_cast<uint64_t>(scale_);
+  for (int base = 0; base < num_rows_; base += 64) {
+    // Row j is negative exactly where its random bit is 0: shift the
+    // inverted bit straight into the IEEE sign position.
+    uint64_t negative = ~words[base >> 6];
+    const int end = std::min(num_rows_, base + 64);
+    for (int j = base; j < end; ++j, negative >>= 1) {
+      out[j] = std::bit_cast<double>(magnitude | (negative << 63));
+    }
   }
 }
 

@@ -12,9 +12,12 @@ namespace cfcm {
 /// \brief Implicit w x n random matrix with i.i.d. entries ±1/sqrt(w).
 ///
 /// Entries are derived from one pre-mixed 64-bit word per node per 64
-/// rows, so the sketch costs 8*ceil(w/64) bytes per node instead of 8*w,
-/// and column extraction is a few bit operations per entry. Deterministic
-/// in (seed).
+/// rows, so the sketch costs 8*ceil(w/64) bytes per node instead of 8*w.
+/// Column extraction writes each entry as the bits of +scale with the
+/// IEEE sign bit set from its inverted random bit: no compare or select,
+/// so no data-dependent branch, and the result is bit-identical to
+/// Entry() because -scale is +scale with the sign bit flipped.
+/// Deterministic in (seed).
 class JlSketch {
  public:
   JlSketch(int num_rows, NodeId num_cols, uint64_t seed);
@@ -30,11 +33,8 @@ class JlSketch {
     return ((word >> (j & 63)) & 1) != 0 ? scale_ : -scale_;
   }
 
-  /// out[j] = W(j, v) for all rows j.
+  /// out[j] = W(j, v) for all rows j, bit-identical to Entry(j, v).
   void ColumnInto(NodeId v, double* out) const;
-
-  /// acc[j] += alpha * W(j, v).
-  void AddColumn(NodeId v, double alpha, double* acc) const;
 
  private:
   int num_rows_;

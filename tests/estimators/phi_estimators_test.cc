@@ -1,6 +1,7 @@
 #include "estimators/phi_estimators.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +44,7 @@ class PhiEstimatorsTest : public ::testing::Test {
     std::vector<double> obuf(n);
     std::vector<int32_t> sizes;
     std::vector<double> sub(n * w), ybuf(n * w);
+    std::vector<NodeId> yrow(n);
     Rng rng(seed);
     for (int i = 0; i < samples; ++i) {
       const RootedForest& f = sampler.Sample(scaffold.is_root, &rng);
@@ -50,11 +52,12 @@ class PhiEstimatorsTest : public ::testing::Test {
       SubtreeSizes(f, &sizes);
       OnesPrefixPass(scaffold, f, sizes, &obuf);
       SubtreeJlSums(f, scaffold.is_root, sketch, sub.data());
-      JlPrefixPass(scaffold, f, sub.data(), w, ybuf.data());
+      JlPrefixPass(scaffold, f, sub.data(), w, ybuf.data(), yrow.data());
       for (std::size_t u = 0; u < n; ++u) {
         avg.diag[u] += xbuf[u];
         avg.ones[u] += obuf[u];
-        for (int j = 0; j < w; ++j) avg.jl[u * w + j] += ybuf[u * w + j];
+        const double* yu = ybuf.data() + static_cast<std::size_t>(yrow[u]) * w;
+        for (int j = 0; j < w; ++j) avg.jl[u * w + j] += yu[j];
       }
     }
     for (std::size_t u = 0; u < n; ++u) {
@@ -153,6 +156,47 @@ TEST_F(PhiEstimatorsTest, RootsAlwaysZero) {
     EXPECT_EQ(avg.ones[r], 0.0);
     for (int j = 0; j < avg.w; ++j) {
       EXPECT_EQ(avg.jl[static_cast<std::size_t>(r) * avg.w + j], 0.0);
+    }
+  }
+}
+
+TEST(JlPrefixPassTest, SharedRowsMatchPerNodeRecursionBitwise) {
+  // Reference: the per-node recursion Y(u) = Y(p) + [u->p] S(u)/w_up -
+  // [p->u] S(p)/w_up, every row materialized. The pass must give the
+  // same bits, own a row exactly where the BFS edge is a forest edge,
+  // and share its parent's row everywhere else.
+  const Graph g = BarabasiAlbert(300, 3, 8);
+  const int w = 5;
+  const TreeScaffold scaffold = MakeTreeScaffold(g, {0, 7});
+  const JlSketch sketch(w, g.num_nodes(), 12);
+  ForestSampler sampler(g);
+  Rng rng(13);
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> sub(n * w), ybuf(n * w), want(n * w);
+  std::vector<NodeId> rows(n);
+  for (int i = 0; i < 20; ++i) {
+    const RootedForest& f = sampler.Sample(scaffold.is_root, &rng);
+    SubtreeJlSums(f, scaffold.is_root, sketch, sub.data());
+    JlPrefixPass(scaffold, f, sub.data(), w, ybuf.data(), rows.data());
+    for (NodeId u : scaffold.bfs.order) {
+      double* yu = want.data() + static_cast<std::size_t>(u) * w;
+      if (scaffold.is_root[u]) {
+        for (int j = 0; j < w; ++j) yu[j] = 0.0;
+        EXPECT_EQ(rows[u], u);
+        continue;
+      }
+      const NodeId p = scaffold.bfs.parent[u];
+      const double* yp = want.data() + static_cast<std::size_t>(p) * w;
+      const double iw = scaffold.up_inv_weight[u];
+      const bool traversed = f.parent[u] == p || f.parent[p] == u;
+      EXPECT_EQ(rows[u] == u, traversed) << "u=" << u;
+      for (int j = 0; j < w; ++j) {
+        yu[j] = yp[j];
+        if (f.parent[u] == p) yu[j] = yp[j] + sub[u * w + j] * iw;
+        if (f.parent[p] == u) yu[j] = yp[j] - sub[p * w + j] * iw;
+      }
+      const double* got = ybuf.data() + static_cast<std::size_t>(rows[u]) * w;
+      EXPECT_EQ(std::memcmp(got, yu, sizeof(double) * w), 0) << "u=" << u;
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "linalg/jl.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,18 +34,20 @@ TEST(JlSketchTest, DeterministicInSeed) {
 }
 
 TEST(JlSketchTest, ColumnIntoMatchesEntry) {
-  const JlSketch sketch(70, 20, 9);  // > 64 rows: crosses word boundary
-  std::vector<double> col(70);
-  sketch.ColumnInto(13, col.data());
-  for (int j = 0; j < 70; ++j) EXPECT_EQ(col[j], sketch.Entry(j, 13));
-}
-
-TEST(JlSketchTest, AddColumnAccumulates) {
-  const JlSketch sketch(10, 5, 3);
-  std::vector<double> acc(10, 1.0);
-  sketch.AddColumn(2, 2.0, acc.data());
-  for (int j = 0; j < 10; ++j) {
-    EXPECT_NEAR(acc[j], 1.0 + 2.0 * sketch.Entry(j, 2), 1e-12);
+  // Bytes, not ==: -0.0 == +0.0, so == would pass an expansion that
+  // writes a wrong zero, and any changed bit moves the estimates. The
+  // widths cover a partial first word (1..63), exactly one and two full
+  // words (64, 128) and a partial second word (65, 70).
+  for (const int w : {1, 8, 24, 63, 64, 65, 70, 128}) {
+    const JlSketch sketch(w, 20, 9);
+    std::vector<double> col(static_cast<std::size_t>(w));
+    std::vector<double> want(static_cast<std::size_t>(w));
+    for (NodeId v = 0; v < 20; ++v) {
+      sketch.ColumnInto(v, col.data());
+      for (int j = 0; j < w; ++j) want[j] = sketch.Entry(j, v);
+      EXPECT_EQ(std::memcmp(col.data(), want.data(), sizeof(double) * w), 0)
+          << "w=" << w << " v=" << v;
+    }
   }
 }
 

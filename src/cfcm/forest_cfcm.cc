@@ -84,7 +84,7 @@ StatusOr<CfcmResult> ForestCfcmMaximizeCaptured(const Graph& graph, int k,
                   est.seed = seed;
                   return ForestDelta(graph, s_nodes, est, pool, scope);
                 },
-                /*allow_forest_reuse=*/true, capture);
+                /*allow_forest_reuse=*/false, capture);
   if (result.ok()) result->seconds = timer.Seconds();
   return result;
 }

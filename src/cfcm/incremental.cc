@@ -24,10 +24,22 @@ constexpr uint64_t kSaltStep = 0x9e3779b97f4a7c15ULL;
 // Per-selection-member seed perturbation for the Phase B re-contests.
 constexpr uint64_t kSwapSeedStep = 0x6a09e667f3bcc909ULL;
 
-int ResolveContenders(const CfcmOptions& options) {
-  if (options.warm_contenders > 0) return options.warm_contenders;
-  return std::max(2 * options.lazy_batch, 16);
-}
+// Cold-fallback trigger: warm repair is refused when the accumulated
+// delta touched more than this fraction of the current edge set.
+constexpr double kWarmMaxDeltaFraction = 0.25;
+
+// Per-member swap-sweep gate: an earlier selection member is
+// re-contested (drop-one/add-best) only when the delta weight incident
+// to it exceeds this fraction of its weighted degree.
+constexpr double kWarmSwapImpact = 0.05;
+
+// Relative margin a Phase B challenger must clear over the incumbent
+// member before the swap is applied.
+constexpr double kWarmSwapMargin = 0.25;
+
+// Candidate pool size for the warm repair phases: twice the lazy loop's
+// refresh batch of 8.
+constexpr std::size_t kWarmContenders = 16;
 
 // Top-`want` non-selected candidates by (stale key desc, id asc) —
 // the warm repair's contender pool.
@@ -137,9 +149,8 @@ std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
   state->base_result = result;
   state->source_n = graph.num_nodes();
   if (capture.has_arena && result.selected.size() >= 2) {
-    // Adopt the arena only when it really holds the final refresh
-    // round; an accepted reuse pre-screen final round leaves an older
-    // round's forests behind (wrong seed — MatchesRound rejects them).
+    // Adopt the arena only when it really holds the final round's
+    // forests; a delta binding that never fills it leaves it empty.
     const std::vector<NodeId> s_prev(result.selected.begin(),
                                      result.selected.end() - 1);
     if (capture.arena.MatchesRound(graph.num_nodes(), s_prev,
@@ -271,7 +282,7 @@ WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
   }
   const double m = static_cast<double>(std::max<EdgeId>(graph.num_edges(), 1));
   if (static_cast<double>(state->touched.size()) >
-      options.warm_max_delta_fraction * m) {
+      kWarmMaxDeltaFraction * m) {
     return {false, "delta_too_large"};
   }
   if (state->addition_share >= 0.5) return {false, "addition_share"};
@@ -344,8 +355,8 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
 
   std::vector<char> in_s(static_cast<std::size_t>(n), 0);
   for (NodeId s : selection) in_s[static_cast<std::size_t>(s)] = 1;
-  const std::vector<NodeId> contenders = TopContenders(
-      state, in_s, static_cast<std::size_t>(ResolveContenders(options)));
+  const std::vector<NodeId> contenders =
+      TopContenders(state, in_s, kWarmContenders);
 
   // Exclusive arena access for the whole repair; AdvanceWarmState and
   // concurrent warm solves on the same state race for the same claim,
@@ -430,7 +441,7 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
     }
     const double degree_w =
         std::max(graph.weighted_degree(s_i), std::numeric_limits<double>::min());
-    if (incident / degree_w <= options.warm_swap_impact) continue;
+    if (incident / degree_w <= kWarmSwapImpact) continue;
 
     std::vector<NodeId> roots;
     roots.reserve(static_cast<std::size_t>(k) - 1);
@@ -468,11 +479,11 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
     double best_gain = 0.0;
     const NodeId best = BestInSubset(b, mask, &best_gain);
     // Swapping an earlier member perturbs the whole greedy chain, so
-    // the challenger must clear the incumbent by the reuse margin, not
+    // the challenger must clear the incumbent by kWarmSwapMargin, not
     // just win the draw.
     const double incumbent_gain = b.delta[static_cast<std::size_t>(s_i)];
     if (best >= 0 && best != s_i &&
-        best_gain > incumbent_gain * (1.0 + options.reuse_margin)) {
+        best_gain > incumbent_gain * (1.0 + kWarmSwapMargin)) {
       in_s[static_cast<std::size_t>(s_i)] = 0;
       in_s[static_cast<std::size_t>(best)] = 1;
       selection[static_cast<std::size_t>(i)] = best;
@@ -504,7 +515,7 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
       // the estimator's own width factor, mirroring the lazy heap keys.
       if (!mask[u]) continue;
       const double g = a.delta[u];
-      const double rel = std::min(a.rel[u], options.lazy_width_cap);
+      const double rel = std::min(a.rel[u], kLazyWidthCap);
       next->gains[u] = g;
       next->keys[u] = g * (1.0 + rel);
     }

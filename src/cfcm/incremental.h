@@ -127,8 +127,7 @@ inline constexpr NodeId kWarmMaxNewNodes = 64;
 ///
 /// `graph` is the solved graph, `result` the solve's output and
 /// `capture` the lazy loop's warm material (moved from). The arena is
-/// adopted only when it actually holds the final refresh round
-/// (an accepted reuse pre-screen final round leaves an older one).
+/// adopted only when it actually holds the final round's forests.
 std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
                                                 const CfcmOptions& options,
                                                 const CfcmResult& result,
@@ -156,7 +155,7 @@ struct WarmDecision {
 
 /// The fallback policy of DESIGN.md §16, exported for tests. `state`
 /// may be null. Checks parameter/k drift, disconnection, the touched
-/// fraction against options.warm_max_delta_fraction, the addition
+/// fraction against kWarmMaxDeltaFraction (0.25), the addition
 /// share, node growth and summary overflow.
 WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
                         const CfcmOptions& options);

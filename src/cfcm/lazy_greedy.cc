@@ -8,7 +8,6 @@
 
 #include "cfcm/cfcc.h"
 #include "estimators/first_pick.h"
-#include "estimators/reuse_delta.h"
 #include "obs/metrics.h"
 
 namespace cfcm {
@@ -63,22 +62,6 @@ void LazyHeap::Push(NodeId id, double key, double gain, int round) {
   SiftUp(heap_.size() - 1);
 }
 
-void LazyHeap::Update(NodeId id, double key, double gain, int round) {
-  assert(Contains(id));
-  const std::size_t i =
-      static_cast<std::size_t>(pos_[static_cast<std::size_t>(id)]);
-  const bool raised = key > heap_[i].key ||
-                      (key == heap_[i].key && false);  // same id: order keyed
-  heap_[i].key = key;
-  heap_[i].gain = gain;
-  heap_[i].round = round;
-  if (raised) {
-    SiftUp(i);
-  } else {
-    SiftDown(i);
-  }
-}
-
 LazyHeapEntry LazyHeap::Pop() {
   assert(!heap_.empty());
   LazyHeapEntry top = heap_.front();
@@ -111,6 +94,21 @@ void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
 
 namespace {
 
+// Stale candidates re-scored per refresh batch: the floor of the first
+// batch and the slack added to the frontier prediction.
+constexpr std::size_t kLazyBatch = 8;
+
+// Safety margin on stale keys: a refreshed top must exceed
+// (1 + kLazyInflation) x the best stale key before it is selected.
+// Stale keys already carry the estimator's own per-node Bernstein width
+// factor (1 + rel) — each round re-scores on an independent
+// forest/sketch draw, so a stale gain is a noisy sample of the current
+// gain, not an upper bound (§13). This margin covers the residual
+// cross-round drift of the true gain on top of that width; the value is
+// validated by the pinned lazy-equals-exhaustive regression suite, and
+// raising it only moves lazy monotonically toward the exhaustive scan.
+constexpr double kLazyInflation = 0.5;
+
 // True when a refreshed gain out-ranks a stale heap entry under the §13
 // margin: fresh > (1 + inflation) * decay^age * stale key, ties going
 // to the lower node id (the exhaustive scan's tie-break). Stale keys
@@ -121,9 +119,9 @@ namespace {
 // rounds the entry has sat unrefreshed — a key scored several rounds
 // ago is at that round's gain scale, not the current one.
 bool BeatsStale(double fresh_gain, NodeId fresh_id, const LazyHeapEntry& top,
-                double inflation, double decay, int round) {
+                double decay, int round) {
   const double age = static_cast<double>(std::max(1, round - top.round));
-  const double bar = top.key * std::pow(decay, age) * (1.0 + inflation);
+  const double bar = top.key * std::pow(decay, age) * (1.0 + kLazyInflation);
   if (fresh_gain != bar) return fresh_gain > bar;
   return fresh_id < top.id;
 }
@@ -161,12 +159,6 @@ struct RoundEntry {
   int round = 0;
 };
 
-// The reuse pre-screen only runs when the stale top dominates the
-// runner-up by this factor — otherwise the replay almost never
-// certifies a winner (the importance-weighted widths are 2-3x at the
-// default sampling budget) and its per-forest passes are pure overhead.
-constexpr double kReuseGateRatio = 4.0;
-
 // Each round starts from the previous round's decay calibration relaxed
 // toward 1 by this factor (the no-decay assumption is the conservative
 // side: an under-estimated decay discounts stale keys too far and can
@@ -199,7 +191,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const CfcmOptions& options,
                                       ThreadPool& pool,
                                       const LazyDeltaFn& delta_fn,
-                                      bool allow_forest_reuse,
+                                      bool /*allow_forest_reuse*/,
                                       WarmCapture* capture) {
   CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
   const NodeId n = graph.num_nodes();
@@ -231,10 +223,11 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     }
   }
 
-  // Double-buffered arenas: refresh calls of round i fill arena[i & 1];
-  // the reuse pre-screen of round i replays arena[(i + 1) & 1], which
-  // still holds round i-1's forests.
-  ForestArena arenas[2];
+  // Round arena: every refresh call of a round samples the same forest
+  // stream, so escalation calls replay the forests the first call stored
+  // instead of re-walking them. A new round's (roots, seed) signature
+  // resets it; the slab memory is recycled.
+  ForestArena arena;
   std::vector<char> mask(static_cast<std::size_t>(n), 0);
   std::vector<RoundEntry> fresh;  // refreshed this round
   std::vector<LazyHeapEntry> batch;
@@ -242,8 +235,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
   // count plus slack. Sizing the first refresh call right is what keeps
   // a round at ~one estimator schedule; overshoot costs only O(w) folds
   // per extra candidate while undershoot re-runs the per-forest passes.
-  std::size_t predicted = static_cast<std::size_t>(
-      std::max(1, options.lazy_batch));
+  std::size_t predicted = kLazyBatch;
   // Gain-decay factor carried across rounds: the decay regime is a
   // slowly-varying property of the trajectory, so each round starts
   // from the previous round's calibration relaxed toward 1 (the
@@ -257,90 +249,6 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
   for (int i = 1; i < k; ++i) {
     const uint64_t seed_i =
         options.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL;
-    ForestArena& cur = arenas[i & 1];
-    ForestArena& prev = arenas[(i + 1) & 1];
-
-    // ---- cross-round reuse pre-screen (DESIGN.md §13). Replays the
-    // previous round's forests with the new node cut out; selects
-    // without sampling only when the importance-weighted widths certify
-    // the winner against both the runner-up and every stale key.
-    if (allow_forest_reuse && options.lazy_reuse && i >= 2) {
-      std::vector<NodeId> s_prev(result.selected.begin(),
-                                 result.selected.end() - 1);
-      const uint64_t seed_prev =
-          options.seed + static_cast<uint64_t>(i - 1) * 0x9e3779b9ULL;
-      // Domination gate: replaying the previous round's forests costs
-      // the full per-forest passes, so only attempt it when the stale
-      // top already dwarfs the runner-up and the certificate has a
-      // realistic chance of holding.
-      const LazyHeapEntry* second = heap.Second();
-      const bool dominated = second != nullptr && second->key >= 0.0 &&
-                             heap.Top().key > kReuseGateRatio * second->key;
-      if (dominated && prev.committed() > 1 &&
-          prev.MatchesRound(n, s_prev, seed_prev)) {
-        const std::size_t contenders = std::min<std::size_t>(
-            heap.size(),
-            static_cast<std::size_t>(std::max(2 * options.lazy_batch, 8)));
-        batch.clear();
-        std::fill(mask.begin(), mask.end(), 0);
-        for (std::size_t c = 0; c < contenders; ++c) {
-          batch.push_back(heap.Pop());
-          ++result.heap_pops;
-          mask[batch.back().id] = 1;
-        }
-        EstimatorOptions est_r = est;
-        est_r.seed = seed_i;
-        const ReuseEstimate ru =
-            ReuseDelta(graph, result.selected, result.selected.back(), mask,
-                       prev, est_r, pool);
-        bool accepted = false;
-        if (ru.usable && batch.size() >= 2) {
-          // Rank replayed contenders by (gain desc, id asc).
-          std::size_t b1 = 0, b2 = 1;
-          auto better = [&](std::size_t a, std::size_t b) {
-            const double ga = ru.gain[batch[a].id];
-            const double gb = ru.gain[batch[b].id];
-            if (ga != gb) return ga > gb;
-            return batch[a].id < batch[b].id;
-          };
-          if (better(1, 0)) std::swap(b1, b2);
-          for (std::size_t c = 2; c < batch.size(); ++c) {
-            if (better(c, b1)) {
-              b2 = b1;
-              b1 = c;
-            } else if (better(c, b2)) {
-              b2 = c;
-            }
-          }
-          const NodeId u1 = batch[b1].id;
-          const NodeId u2 = batch[b2].id;
-          const double low1 =
-              ru.gain[u1] * (1.0 - ru.rel[u1] - options.reuse_margin);
-          const double high2 =
-              ru.gain[u2] * (1.0 + ru.rel[u2] + options.reuse_margin);
-          const double outside =
-              heap.empty() ? -std::numeric_limits<double>::infinity()
-                           : heap.Top().key * (1.0 + options.lazy_inflation);
-          if (ru.rel[u1] < 1.0 && low1 > high2 && low1 > outside) {
-            accepted = true;
-            result.selected.push_back(u1);
-            in_s[u1] = 1;
-            result.forests_per_iteration.push_back(0);
-            result.forests_reused += ru.forests;
-            // Contenders keep their old (still valid) stale keys; the
-            // replayed gains are biased by the support gap and must not
-            // become CELF upper bounds.
-            for (const LazyHeapEntry& e : batch) {
-              if (e.id != u1) heap.Push(e.id, e.key, e.gain, e.round);
-            }
-          }
-        }
-        if (accepted) continue;
-        for (const LazyHeapEntry& e : batch) {
-          heap.Push(e.id, e.key, e.gain, e.round);
-        }
-      }
-    }
 
     // ---- CELF refresh loop. Fresh gains leave the heap for the round
     // (tracked in `fresh`), so the heap top is always the best *stale*
@@ -353,13 +261,12 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     int round_fresh_forests = 0;
     decay = std::min(1.0, kDecayRelax * decay);
     std::vector<double> ratios;  // fresh/stale probes for CalibrateDecay
-    // Batch floor: lazy_batch or n/32, whichever is larger. A
+    // Batch floor: kLazyBatch or n/32, whichever is larger. A
     // micro-batch that fails survival costs a whole extra estimator
     // call (passes re-paid), so tiny predictions are rounded up — the
     // marginal folds are cheap insurance.
-    const std::size_t floor_batch = std::max<std::size_t>(
-        static_cast<std::size_t>(std::max(1, options.lazy_batch)),
-        static_cast<std::size_t>(n) / 32);
+    const std::size_t floor_batch =
+        std::max(kLazyBatch, static_cast<std::size_t>(n) / 32);
     const std::size_t first_want = std::max(floor_batch, predicted);
     // Pop budget for the decayed regime. Once a consistent gain decay
     // has been calibrated (sticky: the regime is a property of the
@@ -380,8 +287,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                               static_cast<std::size_t>(n) / 4));
     while (!heap.empty()) {
       if (!force_all && best_id >= 0 &&
-          BeatsStale(best_gain, best_id, heap.Top(), options.lazy_inflation,
-                     decay, i)) {
+          BeatsStale(best_gain, best_id, heap.Top(), decay, i)) {
         break;
       }
       const bool capped = !force_all && decayed;
@@ -432,7 +338,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
               static_cast<std::size_t>(n) - result.selected.size();
       DeltaScope scope;
       scope.subset = full_cover ? nullptr : &mask;
-      scope.arena = &cur;
+      scope.arena = &arena;
       // Budgeted decayed-regime re-scores also run at a reduced forest
       // target; full-cover calls keep the full budget so the "refresh
       // everything" path stays the exhaustive call.
@@ -446,7 +352,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
       for (const LazyHeapEntry& e : batch) {
         const double g = d.delta[e.id];
         const double rel = e.id < static_cast<NodeId>(d.rel.size())
-                               ? std::min(d.rel[e.id], options.lazy_width_cap)
+                               ? std::min(d.rel[e.id], kLazyWidthCap)
                                : 0.0;
         fresh.push_back(RoundEntry{e.id, g, g * (1.0 + rel), i});
         // Decay probe: only last-round gains sample the single-round
@@ -493,19 +399,17 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     for (const LazyHeapEntry& e : heap.entries()) {
       const double age = static_cast<double>(std::max(1, i + 1 - e.round));
       const double disc = e.key * std::pow(next_decay, age);
-      exp_next = std::max(
-          exp_next, disc * decay / (1.0 + options.lazy_inflation));
+      exp_next = std::max(exp_next, disc * decay / (1.0 + kLazyInflation));
     }
     std::size_t frontier = 0;
     for (const LazyHeapEntry& e : heap.entries()) {
       const double age = static_cast<double>(std::max(1, i + 1 - e.round));
-      if (e.key * std::pow(next_decay, age) * (1.0 + options.lazy_inflation) >=
+      if (e.key * std::pow(next_decay, age) * (1.0 + kLazyInflation) >=
           exp_next) {
         ++frontier;
       }
     }
-    predicted = frontier + frontier / 2 +
-                static_cast<std::size_t>(std::max(1, options.lazy_batch));
+    predicted = frontier + frontier / 2 + kLazyBatch;
   }
 
   if (capture != nullptr) {
@@ -519,10 +423,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     capture->final_seed =
         options.seed + static_cast<uint64_t>(k - 1) * 0x9e3779b9ULL;
     capture->has_arena = k >= 2;
-    // When the final round was an accepted reuse pre-screen this arena
-    // still holds an older round's forests; consumers gate every replay
-    // on MatchesRound, so handing it over is safe either way.
-    if (k >= 2) capture->arena = std::move(arenas[(k - 1) & 1]);
+    if (k >= 2) capture->arena = std::move(arena);
   }
   RecordSelectionCounters(result.rescored_candidates, result.heap_pops,
                           result.forests_reused);

@@ -9,7 +9,7 @@
 // Bernstein stop). The heap therefore keys candidates on
 // gain * (1 + rel), where rel is the estimator's own per-node
 // empirical-Bernstein relative half-width, and the survival test adds
-// a further (1 + lazy_inflation) drift margin on top. The loop
+// a further (1 + kLazyInflation) drift margin on top. The loop
 // re-scores the top candidates per round through subset-restricted
 // ForestDelta/SchurDelta calls (one predictive batch plus geometric
 // escalation, so a round costs ~one estimator schedule) until the
@@ -46,12 +46,11 @@ struct LazyHeapEntry {
 
 /// \brief Address-free indexed binary max-heap over candidate node ids.
 ///
-/// Array-backed sift-up/sift-down with a position index per node id, so
-/// keys can be updated in place (decrease- or increase-key) in
-/// O(log n). Ordering is deterministic: larger key first, ties broken
-/// by the LOWER node id — exactly the argmax rule of the exhaustive
-/// scan (first strict improvement wins), so a heap-driven selection can
-/// never disagree with the scan on tie-breaks.
+/// Array-backed sift-up/sift-down with a position index per node id
+/// for O(1) membership. Ordering is deterministic: larger key first,
+/// ties broken by the LOWER node id — exactly the argmax rule of the
+/// exhaustive scan (first strict improvement wins), so a heap-driven
+/// selection can never disagree with the scan on tie-breaks.
 class LazyHeap {
  public:
   /// Empties the heap and sizes the position index for ids [0, n).
@@ -60,27 +59,12 @@ class LazyHeap {
   /// Inserts `id` (must not be present). O(log size).
   void Push(NodeId id, double key, double gain, int round);
 
-  /// Re-keys `id` (must be present), restoring heap order. O(log size).
-  void Update(NodeId id, double key, double gain, int round);
-
   bool Contains(NodeId id) const;
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
   /// Largest entry by (key desc, id asc). Heap must be non-empty.
   const LazyHeapEntry& Top() const { return heap_.front(); }
-
-  /// Second-largest entry (the better of the root's children); nullptr
-  /// when fewer than two entries are present. Used by the reuse
-  /// pre-screen's domination gate.
-  const LazyHeapEntry* Second() const {
-    if (heap_.size() < 2) return nullptr;
-    if (heap_.size() == 2) return &heap_[1];
-    if (heap_[1].key != heap_[2].key) {
-      return heap_[1].key > heap_[2].key ? &heap_[1] : &heap_[2];
-    }
-    return heap_[1].id < heap_[2].id ? &heap_[1] : &heap_[2];
-  }
 
   /// Removes and returns the top entry.
   LazyHeapEntry Pop();
@@ -103,6 +87,22 @@ class LazyHeap {
   std::vector<int> pos_;  // node id -> heap index; -1 = absent
 };
 
+/// Cap on the per-node width factor folded into stale keys:
+/// key = gain * (1 + min(rel, kLazyWidthCap)). The raw Bernstein width
+/// is union-bounded over nodes and forests, so for weak candidates rel
+/// is dominated by its log constants (it can reach 1e2..1e300 as the
+/// numerator estimate approaches 0) and would pin the whole tail to the
+/// refresh frontier forever. The cap is the faithfulness dial: higher
+/// values refresh more of the tail (at the limit every round
+/// degenerates to the full refresh, i.e. the exhaustive argmax), lower
+/// values prune harder. The pinned regression graphs stay bitwise equal
+/// across a wide cap range because their rounds fail the survival test
+/// outright and take the full-refresh path; the value is tuned so the
+/// decayed bench graphs (ba/ws) re-score well under half the
+/// candidates. Declared here because the warm repair
+/// (cfcm/incremental.cc) must fold its refreshed keys the same way.
+inline constexpr double kLazyWidthCap = 2.0;
+
 /// Scores rounds 2..k: Delta estimates for the current root set
 /// `s_nodes` under `seed`, restricted by `scope`. ForestCFCM binds this
 /// to ForestDelta; SchurCFCM adds the T-root bookkeeping and dispatches
@@ -113,9 +113,9 @@ using LazyDeltaFn = std::function<DeltaEstimate(
 
 /// \brief Raw material for an incremental WarmState (DESIGN.md §16),
 /// captured as the greedy loop exits: the final per-candidate heap keys
-/// and gains, the final round's stream seed, and — when the final
-/// refresh round filled one — that round's forest arena, moved out so
-/// the successor epoch can replay its clean forests.
+/// and gains, the final round's stream seed, and (k >= 2) that round's
+/// forest arena, moved out so the successor epoch can replay its clean
+/// forests.
 struct WarmCapture {
   std::vector<double> gains;  ///< last-scored gain per node; 0 at selected
   std::vector<double> keys;   ///< width-inflated heap keys; 0 at selected
@@ -129,16 +129,17 @@ struct WarmCapture {
 /// \brief Runs the full greedy selection (first pick + lazy rounds
 /// 2..k) and returns the same CfcmResult shape as the exhaustive loop.
 ///
-/// `allow_forest_reuse` enables the cross-round reuse pre-screen
-/// (ForestCFCM only: it replays plain S-rooted forests). Timing
-/// (result.seconds) is left at 0 for the caller to stamp. A non-null
+/// The unnamed `allow_forest_reuse` parameter is ignored: the
+/// cross-round forest-reuse pre-screen it switched has been removed,
+/// and the parameter stays only so six-argument callers still compile.
+/// Timing (result.seconds) is left at 0 for the caller to stamp. A non-null
 /// `capture` is filled on success (pure out-param; it never changes the
 /// selection).
 StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const CfcmOptions& options,
                                       ThreadPool& pool,
                                       const LazyDeltaFn& delta_fn,
-                                      bool allow_forest_reuse,
+                                      bool /*allow_forest_reuse*/,
                                       WarmCapture* capture = nullptr);
 
 /// Records the engine.selection.{rescored_candidates,heap_pops,

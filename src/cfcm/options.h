@@ -57,58 +57,12 @@ struct CfcmOptions {
   bool adaptive = true;
 
   // -- SchurCFCM only.
-  int t_size = 0;   ///< |T|; 0 = the |T*| = argmin {|T| - dmax(T)} rule
-  int t_cap = 256;  ///< upper bound on |T|
+  int t_size = 0;  ///< |T|; 0 = the |T*| = argmin {|T| - dmax(T)} rule
 
-  // -- greedy selection (sampled solvers; DESIGN.md §13).
+  // -- greedy selection (sampled solvers; DESIGN.md §13). The lazy
+  // loop's batch, margin and width-cap constants live in
+  // cfcm/lazy_greedy.{h,cc}; the warm repair's in cfcm/incremental.cc.
   SelectionMode selection = SelectionMode::kLazy;
-  /// Stale candidates re-scored per refresh batch in lazy mode.
-  int lazy_batch = 8;
-  /// Safety margin on stale keys: a refreshed top must exceed
-  /// (1 + lazy_inflation) x the best stale key before it is selected.
-  /// Stale keys already carry the estimator's own per-node Bernstein
-  /// width factor (1 + rel) — each round re-scores on an independent
-  /// forest/sketch draw, so a stale gain is a noisy sample of the
-  /// current gain, not an upper bound (§13). This margin covers the
-  /// residual cross-round drift of the true gain on top of that width;
-  /// the default is validated by the pinned lazy-equals-exhaustive
-  /// regression suite, and raising it only moves lazy monotonically
-  /// toward the exhaustive scan.
-  double lazy_inflation = 0.5;
-  /// Cap on the per-node width factor folded into stale keys:
-  /// key = gain * (1 + min(rel, lazy_width_cap)). The raw Bernstein
-  /// width is union-bounded over nodes and forests, so for weak
-  /// candidates rel is dominated by its log constants (it can reach
-  /// 1e2..1e300 as the numerator estimate approaches 0) and would pin
-  /// the whole tail to the refresh frontier forever. The cap is the
-  /// faithfulness dial: higher values refresh more of the tail (at the
-  /// limit every round degenerates to the full refresh, i.e. the
-  /// exhaustive argmax), lower values prune harder. The pinned
-  /// regression graphs stay bitwise equal across a wide cap range
-  /// because their rounds fail the survival test outright and take the
-  /// full-refresh path; the default is tuned so the decayed bench
-  /// graphs (ba/ws) re-score well under half the candidates.
-  double lazy_width_cap = 2.0;
-  /// Cross-round forest reuse pre-screen (ForestCFCM only): re-score
-  /// the top stale candidates on the previous round's forests with the
-  /// new node cut out, and skip fresh sampling when the width check
-  /// certifies the winner. Falls back to fresh sampling otherwise.
-  bool lazy_reuse = true;
-  /// Extra relative margin the reuse pre-screen's certified winner must
-  /// clear (guards the importance-sampling support bias).
-  double reuse_margin = 0.25;
-
-  // -- incremental warm start (DESIGN.md §16; src/cfcm/incremental.h).
-  /// Cold-fallback trigger: warm repair is refused when the accumulated
-  /// delta touched more than this fraction of the current edge set.
-  double warm_max_delta_fraction = 0.25;
-  /// Per-member swap-sweep gate: an earlier selection member is
-  /// re-contested (drop-one/add-best) only when the delta weight
-  /// incident to it exceeds this fraction of its weighted degree.
-  double warm_swap_impact = 0.05;
-  /// Candidate pool size for the warm repair phases; 0 = auto
-  /// (max(2 * lazy_batch, 16)).
-  int warm_contenders = 0;
 
   // -- exact linear algebra (DESIGN.md §14).
   /// Which kernel backs the exact Laplacian paths (EXACT/OPTIMUM

@@ -15,6 +15,9 @@ namespace cfcm {
 
 namespace {
 
+// Upper bound on the auxiliary root set |T| chosen by the |T*| rule.
+constexpr int kTCap = 256;
+
 // Shared implementation: removal order plus the remaining-graph dmax
 // after each removal. Hubs rank by *weighted* degree — on a weighted
 // graph the escape probability of a walk is governed by conductance,
@@ -167,16 +170,14 @@ StatusOr<CfcmResult> SchurCfcmMaximize(const Graph& graph, int k,
   // Auxiliary root set T of hubs (Alg. 5 line 1).
   const std::vector<NodeId> t_all =
       options.t_size > 0 ? HubRemovalOrder(graph, options.t_size)
-                         : SelectAuxiliaryRoots(graph, options.t_cap);
+                         : SelectAuxiliaryRoots(graph, kTCap);
 
   StatusOr<CfcmResult> result = [&]() -> StatusOr<CfcmResult> {
     if (options.selection == SelectionMode::kExhaustive) {
       return SchurCfcmExhaustive(graph, k, options, pool, t_all);
     }
     // Lazy mode: the delta binding recomputes T \ S per call (S grows
-    // between rounds). Cross-round forest reuse stays off — the arena
-    // holds (S ∪ T)-rooted forests, and the reuse replay is only sound
-    // for plain S-rooted ones.
+    // between rounds).
     StatusOr<CfcmResult> r = LazyGreedySelect(
         graph, k, options, pool,
         [&graph, &options, &pool, &t_all](

@@ -4,9 +4,10 @@
 // several times within one greedy round, and each re-score call walks
 // the same forest stream (same seed, same indices). Retaining every
 // sampled forest in flat per-forest slabs lets later calls *replay* a
-// forest (an O(n) copy) instead of re-running its loop-erased walks,
-// and lets the next round's reuse pre-screen re-read the previous
-// round's forests after cutting out the newly selected node.
+// forest (an O(n) copy) instead of re-running its loop-erased walks.
+// The final round's arena is also handed to the incremental warm state
+// (DESIGN.md §16), whose re-solve replays the forests a graph delta
+// left clean.
 //
 // Storage is three flat slabs (parent / leaves_first / root_of), one
 // stride per forest, sized once per round and recycled across rounds —

@@ -6,7 +6,8 @@
 // 2. Under a small reweight delta the warm repair's group is as good as
 //    the cold re-solve's across its seed spread (exact CFCC).
 // 3. Warm results are a pure function of the seed: 1/2/8 sampling
-//    threads produce bitwise identical selections.
+//    threads produce bitwise identical selections and identical,
+//    pinned repair work counters.
 // 4. The DecideWarm fallback policy fires for every documented trigger
 //    (missing state, k drift, parameter drift, oversized delta,
 //    addition support break, disconnection), and a kOn solve that falls
@@ -161,7 +162,6 @@ TEST(WarmDeterminismTest, ThreadCountInvariant) {
   const auto g2 = g.Apply(delta);
   ASSERT_TRUE(g2.ok());
 
-  std::vector<NodeId> reference;
   for (int threads : {1, 2, 8}) {
     const CfcmOptions options = Opts(9, threads);
     std::shared_ptr<const WarmState> deposit;
@@ -171,11 +171,16 @@ TEST(WarmDeterminismTest, ThreadCountInvariant) {
         ForestSolveWithWarm(*g2, 6, options, WarmMode::kOn, advanced, nullptr);
     ASSERT_TRUE(warm.ok());
     EXPECT_TRUE(warm->warm_started) << "threads " << threads;
-    if (reference.empty()) {
-      reference = warm->selected;
-    } else {
-      EXPECT_EQ(warm->selected, reference) << "threads " << threads;
-    }
+    // The same exact selection and repair work counters at every thread
+    // count. Contender pool size, swap margin, swap-sweep gate and the
+    // captured arena hand-off all feed them.
+    EXPECT_EQ(warm->selected, (std::vector<NodeId>{1, 4, 5, 3, 312, 373}))
+        << "threads " << threads;
+    EXPECT_EQ(warm->swap_moves, 1) << "threads " << threads;
+    EXPECT_EQ(warm->forests_resampled, 5) << "threads " << threads;
+    EXPECT_EQ(warm->forests_reused, 103) << "threads " << threads;
+    EXPECT_EQ(warm->rescored_candidates, 17)  // incumbent + 16 contenders
+        << "threads " << threads;
   }
 }
 
@@ -208,7 +213,7 @@ TEST(DecideWarmTest, OversizedDeltaFallsBackCold) {
   std::shared_ptr<const WarmState> deposit;
   ASSERT_TRUE(ColdSolve(g, 4, options, &deposit).ok());
 
-  // Touch well past warm_max_delta_fraction (default 0.25) of karate's
+  // Touch well past kWarmMaxDeltaFraction (0.25) of karate's
   // 78 edges.
   GraphDelta big;
   const auto edges = g.Edges();

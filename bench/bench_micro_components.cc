@@ -1,5 +1,6 @@
 // Google-benchmark micro suite: throughput of the substrate components
-// (Wilson sampling, subtree accumulation, prefix passes, CG, LDLT, JL),
+// (Wilson sampling, subtree accumulation, prefix passes, CG, Hutchinson
+// probing, LDLT, JL),
 // including the Schur-root ablation at the kernel level.
 #include <map>
 
@@ -13,6 +14,7 @@
 #include "forest/wilson.h"
 #include "graph/generators.h"
 #include "linalg/cg.h"
+#include "linalg/hutchinson.h"
 #include "linalg/jl.h"
 #include "linalg/laplacian.h"
 #include "linalg/ldlt.h"
@@ -133,6 +135,26 @@ void BM_CgGroundedSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgGroundedSolve)->Arg(1000)->Arg(10000);
+
+// Hutchinson C(S) evaluation on the lane-blocked CG kernel: BA(n, 4),
+// S = the first |S| nodes, args (n, probes, |S|).
+void BM_HutchinsonTrace(benchmark::State& state) {
+  const NodeId n = static_cast<NodeId>(state.range(0));
+  const int probes = static_cast<int>(state.range(1));
+  const Graph g = cfcm::BarabasiAlbert(n, 4, 7);
+  std::vector<NodeId> group(static_cast<std::size_t>(state.range(2)));
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    group[i] = static_cast<NodeId>(i);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cfcm::HutchinsonTraceInverse(g, group, probes, 1).trace);
+  }
+}
+BENCHMARK(BM_HutchinsonTrace)
+    ->Args({2000, 64, 8})
+    ->Args({4000, 128, 12})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LdltFactorize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

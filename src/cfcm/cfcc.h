@@ -38,7 +38,8 @@ ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
                                 uint64_t seed, const CgOptions& cg = {});
 
-/// Backend-aware overload: kAuto/kCg keep the pinned per-probe CG path;
+/// Backend-aware overload: kAuto/kCg keep the pinned CG path (probes
+/// advanced kCgLanes at a time, each bit-identical to its own CG solve);
 /// kSparseLdlt/kDense factor L_{-S} once and run the probes as direct
 /// solves (same probe vectors — see linalg/hutchinson.h).
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,

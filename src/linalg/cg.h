@@ -10,6 +10,8 @@
 #ifndef CFCM_LINALG_CG_H_
 #define CFCM_LINALG_CG_H_
 
+#include <functional>
+
 #include "common/status.h"
 #include "linalg/laplacian.h"
 
@@ -28,6 +30,18 @@ struct CgSummary {
   bool converged = false;
 };
 
+/// Right-hand sides SolveGroundedBlock advances together: one adjacency
+/// pass per iteration serves every lane (DESIGN.md §14).
+inline constexpr int kCgLanes = 4;
+
+/// Fills right-hand side j into *b and its initial guess into *x; both
+/// arrive zero-filled with length n.
+using CgLoadFn = std::function<void(int j, Vector* b, Vector* x)>;
+
+/// Receives solution j (length n, entries at S zero) and its summary.
+using CgStoreFn =
+    std::function<void(int j, const Vector& x, const CgSummary& summary)>;
+
 /// \brief Solves L_{-S} x = b (vectors in R^n, entries at S pinned to 0).
 ///
 /// `b` entries at S are ignored. Returns the summary; the solution is
@@ -35,6 +49,18 @@ struct CgSummary {
 CgSummary SolveGroundedLaplacian(const LaplacianSubmatrixOp& op,
                                  const Vector& b, Vector* x,
                                  const CgOptions& options = {});
+
+/// \brief Solves L_{-S} x_j = b_j for j = 0, ..., count - 1, kCgLanes
+/// systems at a time.
+///
+/// A lane that finishes hands its solution to `store` and takes the next
+/// j from `load`, so `store` sees the systems out of order. Every x_j and
+/// its summary are bit-identical to SolveGroundedLaplacian(op, b_j, &x_j)
+/// from the same initial guess: each lane runs exactly the single-vector
+/// recurrence's operations in its order.
+void SolveGroundedBlock(const LaplacianSubmatrixOp& op, int count,
+                        const CgLoadFn& load, const CgStoreFn& store,
+                        const CgOptions& options = {});
 
 /// \brief Solves the singular system L x = b with b projected against 1
 /// (pseudoinverse application: x = L† b, x ⊥ 1).

@@ -60,6 +60,7 @@ class LaplacianSubmatrixOp {
   LaplacianSubmatrixOp(const Graph& graph, std::vector<char> in_removed);
 
   NodeId n() const { return graph_.num_nodes(); }
+  const Graph& graph() const { return graph_; }
   bool removed(NodeId u) const { return in_removed_[u] != 0; }
 
   /// y = L_{-S} x  (entries at S zeroed).

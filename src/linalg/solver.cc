@@ -1,5 +1,6 @@
 #include "linalg/solver.h"
 
+#include <functional>
 #include <utility>
 
 #include "linalg/laplacian.h"
@@ -123,27 +124,25 @@ class CgSolver final : public LaplacianSolver {
 
   DenseMatrix SolveMatrix(const DenseMatrix& b) const override {
     DenseMatrix x(b.rows(), b.cols());
-    Vector col(static_cast<std::size_t>(b.rows()));
-    for (int j = 0; j < b.cols(); ++j) {
-      for (int i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-      const Vector sol = Solve(col);
-      for (int i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
-    }
+    SolveColumns(
+        b.cols(),
+        [&](int j, Vector* full) {
+          for (int i = 0; i < b.rows(); ++i) (*full)[kept_[i]] = b(i, j);
+        },
+        [&](int j, const Vector& sol) {
+          for (int i = 0; i < b.rows(); ++i) x(i, j) = sol[kept_[i]];
+        });
     return x;
   }
 
   Vector InverseDiagonal() const override {
-    // One CG solve per column: exact modulo the CG tolerance. This is
-    // the documented expensive path — cg exists for low-memory solves,
-    // not trace extraction.
+    // One CG solve per column, kCgLanes columns per adjacency pass: exact
+    // modulo the CG tolerance. This is the documented expensive path —
+    // cg exists for low-memory solves, not trace extraction.
     Vector d(kept_.size());
-    Vector e(kept_.size(), 0.0);
-    for (std::size_t i = 0; i < kept_.size(); ++i) {
-      e[i] = 1.0;
-      const Vector col = Solve(e);
-      d[i] = col[i];
-      e[i] = 0.0;
-    }
+    SolveColumns(
+        dim(), [&](int j, Vector* full) { (*full)[kept_[j]] = 1.0; },
+        [&](int j, const Vector& sol) { d[j] = sol[kept_[j]]; });
     return d;
   }
 
@@ -155,6 +154,25 @@ class CgSolver final : public LaplacianSolver {
   }
 
  private:
+  // Solves `count` systems through the lane-blocked kernel: `fill`
+  // writes column j's right-hand side into a zeroed full-length vector,
+  // `take` reads its full-length solution. Each column is bit-identical
+  // to Solve() on it.
+  void SolveColumns(
+      int count, const std::function<void(int, Vector*)>& fill,
+      const std::function<void(int, const Vector&)>& take) const {
+    std::int64_t iterations = 0;
+    SolveGroundedBlock(
+        op_, count, [&](int j, Vector* b, Vector*) { fill(j, b); },
+        [&](int j, const Vector& x, const CgSummary& summary) {
+          take(j, x);
+          iterations += summary.iterations;
+        },
+        options_);
+    SolvesCounter().Add(static_cast<uint64_t>(count));
+    CgIterationsCounter().Add(static_cast<uint64_t>(iterations));
+  }
+
   LaplacianSubmatrixOp op_;
   std::vector<NodeId> kept_;
   CgOptions options_;

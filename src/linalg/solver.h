@@ -10,9 +10,10 @@
 //                  must agree with.
 //   sparse_ldlt  — RCM-ordered sparse LDL^T (linalg/sparse_ldlt.h); the
 //                  workhorse above the dense ceiling.
-//   cg           — Jacobi-preconditioned CG per solve (linalg/cg.h);
-//                  O(m) memory, no factorization; InverseDiagonal costs
-//                  one CG solve per column (fallback / cross-check).
+//   cg           — Jacobi-preconditioned CG (linalg/cg.h); O(m) memory,
+//                  no factorization; SolveMatrix and InverseDiagonal
+//                  run one CG solve per column, kCgLanes columns per
+//                  adjacency pass (fallback / cross-check).
 //
 // `auto` resolves by size: dense while the kept dimension is at most
 // kDenseBackendMaxN, sparse_ldlt above. The resolution is pure policy —

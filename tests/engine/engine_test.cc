@@ -10,6 +10,7 @@
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 
 namespace cfcm::engine {
 namespace {
@@ -123,6 +124,23 @@ TEST(EngineTest, EvaluateJobAgreesWithExactGroupCfcc) {
     EXPECT_NEAR(eval.trace, karate.num_nodes() / eval.cfcc, 1e-9);
     EXPECT_EQ(eval.trace_std_error, 0.0);
   }
+}
+
+TEST(EngineTest, ProbedEvaluationCountsCgIterations) {
+  // Probed C(S) runs Hutchinson's CG solves; their iterations must show
+  // in engine.linalg.cg_iterations (and so in /metrics and stats).
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("engine.linalg.cg_iterations");
+  Engine engine{BarabasiAlbert(200, 3, 9)};
+  const uint64_t before = counter.value();
+  auto probed = engine.Run(EvaluateJob{.group = {0, 1, 2}, .probes = 6,
+                                       .seed = 4});
+  ASSERT_TRUE(probed.ok());
+  const uint64_t moved = counter.value() - before;
+  const TraceEstimate est =
+      HutchinsonTraceInverse(BarabasiAlbert(200, 3, 9), {0, 1, 2}, 6, 4);
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(moved, static_cast<uint64_t>(est.cg_iterations));
 }
 
 TEST(EngineTest, ProbedEvaluationApproximatesExact) {

@@ -1,5 +1,8 @@
 #include "linalg/cg.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -116,6 +119,80 @@ TEST(CgTest, WarmStartNearSolutionConvergesFast) {
   const CgSummary again = SolveGroundedLaplacian(op, b, &x2);
   EXPECT_TRUE(again.converged);
   EXPECT_LE(again.iterations, 2);
+}
+
+void ExpectSameBits(const Vector& a, const Vector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << "entry " << i;
+  }
+}
+
+// The lane-blocked kernel must reproduce per-column solves bit for bit:
+// random columns, an all-zero column (the b = 0 early exit), unit
+// columns, and a warm-started column that converges at once. The cold
+// columns need 24-27 iterations, so lanes retire at different iterations
+// and refill mid-block; the 25-iteration cap stops some of them early.
+TEST(CgTest, BlockSolveEqualsPerColumnSolvesBitwise) {
+  const Graph unit = BarabasiAlbert(300, 3, 4);
+  const Graph weighted = AssignUniformWeights(unit, 0.5, 2.0, 3);
+  CgOptions capped;
+  capped.max_iterations = 25;
+  for (const Graph* g : {&unit, &weighted}) {
+    const std::size_t n = static_cast<std::size_t>(g->num_nodes());
+    const LaplacianSubmatrixOp op(*g, Mask(g->num_nodes(), {0, 17}));
+    const int count = 2 * kCgLanes + 3;
+    std::vector<Vector> b(count, Vector(n, 0.0)), x0(count, Vector(n, 0.0));
+    Rng rng(11);
+    for (int j = 0; j < count; ++j) {
+      if (j == 2) continue;  // all-zero column
+      if (j % 4 == 1) {
+        b[j][static_cast<std::size_t>(j) * 7 % n] = 1.0;
+        continue;
+      }
+      for (double& v : b[j]) v = rng.NextDouble() - 0.5;
+    }
+    // Column 5 starts from column 4's solution: converges at once.
+    b[5] = b[4];
+    SolveGroundedLaplacian(op, b[4], &x0[5]);
+
+    for (const CgOptions& options : {CgOptions{}, capped}) {
+      std::vector<Vector> block_x(count);
+      std::vector<CgSummary> block_summary(count);
+      std::vector<int> stores(count, 0);
+      SolveGroundedBlock(
+          op, count,
+          [&](int j, Vector* bj, Vector* xj) {
+            *bj = b[j];
+            *xj = x0[j];
+          },
+          [&](int j, const Vector& xj, const CgSummary& summary) {
+            block_x[j] = xj;
+            block_summary[j] = summary;
+            ++stores[j];
+          },
+          options);
+      bool capped_some = false;
+      for (int j = 0; j < count; ++j) {
+        SCOPED_TRACE(testing::Message() << "column " << j << " cap "
+                                        << options.max_iterations);
+        Vector x = x0[j];
+        const CgSummary summary = SolveGroundedLaplacian(op, b[j], &x, options);
+        EXPECT_EQ(stores[j], 1);
+        ExpectSameBits(block_x[j], x);
+        EXPECT_EQ(block_summary[j].iterations, summary.iterations);
+        EXPECT_EQ(std::bit_cast<uint64_t>(block_summary[j].relative_residual),
+                  std::bit_cast<uint64_t>(summary.relative_residual));
+        EXPECT_EQ(block_summary[j].converged, summary.converged);
+        capped_some |= !summary.converged;
+      }
+      EXPECT_EQ(capped_some, options.max_iterations == capped.max_iterations);
+      EXPECT_EQ(block_summary[2].iterations, 0);
+      EXPECT_TRUE(block_summary[2].converged);
+      ExpectSameBits(block_x[2], Vector(n, 0.0));
+    }
+  }
 }
 
 }  // namespace

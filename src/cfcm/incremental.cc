@@ -333,13 +333,9 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
   if (state.touched.empty() && !state.structural && n == state.source_n) {
     CfcmResult result = state.base_result;
     result.forests_per_iteration.clear();
-    result.total_forests = 0;
-    result.total_walk_steps = 0;
-    result.rescored_candidates = 0;
-    result.heap_pops = 0;
-    result.forests_reused = 0;
-    result.forests_resampled = 0;
-    result.swap_moves = 0;
+    for (const SolveCounter& counter : kSolveCounters) {
+      result.*counter.field = 0;
+    }
     result.warm_started = true;
     result.cold_fallback = false;
     result.seconds = timer.Seconds();

@@ -73,12 +73,15 @@ struct CfcmOptions {
   SolverBackend solver_backend = SolverBackend::kAuto;
 };
 
-/// Per-iteration and total diagnostics of a solver run.
+/// \brief The result of every maximization algorithm: the chosen group
+/// plus per-iteration and total diagnostics. Fields that do not apply to
+/// a given algorithm keep their defaults.
 struct CfcmResult {
   std::vector<NodeId> selected;          ///< greedy order, size k
   std::vector<int> forests_per_iteration;
   std::int64_t total_forests = 0;
   std::int64_t total_walk_steps = 0;  ///< loop-erased walk steps sampled
+  std::int64_t solver_calls = 0;      ///< Laplacian systems (APPROXGREEDY)
   double seconds = 0.0;
   int jl_rows = 0;
   int auxiliary_roots = 0;  ///< |T| (SchurCFCM only)
@@ -100,6 +103,28 @@ struct CfcmResult {
   /// Resolved Laplacian solver backend ("dense" / "sparse_ldlt" / "cg"),
   /// empty for solvers that never touch the exact kernels.
   std::string solver_backend;
+};
+
+/// One per-solve work counter: its wire key and the CfcmResult field
+/// holding it.
+struct SolveCounter {
+  const char* key;
+  std::int64_t CfcmResult::*field;
+};
+
+/// The per-solve work counters, in wire order. The solver trace span,
+/// the serve solve response, the CLI's JSON solve line and the warm
+/// identity fast path all iterate this table, so a new counter is one
+/// CfcmResult field plus one line here (DESIGN.md §6).
+inline constexpr SolveCounter kSolveCounters[] = {
+    {"forests", &CfcmResult::total_forests},
+    {"walk_steps", &CfcmResult::total_walk_steps},
+    {"solver_calls", &CfcmResult::solver_calls},
+    {"rescored_candidates", &CfcmResult::rescored_candidates},
+    {"heap_pops", &CfcmResult::heap_pops},
+    {"forests_reused", &CfcmResult::forests_reused},
+    {"forests_resampled", &CfcmResult::forests_resampled},
+    {"swap_moves", &CfcmResult::swap_moves},
 };
 
 /// Lowers CfcmOptions to the estimator-level sampling options.

@@ -144,7 +144,7 @@ StatusOr<JobResult> Engine::RunSolve(
 
   std::size_t span = 0;
   if (trace != nullptr) span = trace->BeginSpan("solver");
-  StatusOr<SolveOutput> output = Status::FailedPrecondition("unset");
+  StatusOr<CfcmResult> output = Status::FailedPrecondition("unset");
   if (job.algorithm == "forest") {
     // The forest solver runs through the incremental pipeline
     // (DESIGN.md §16): it consumes the session's warm state for this
@@ -155,48 +155,25 @@ StatusOr<JobResult> Engine::RunSolve(
       warm = session_->WarmStateFor(snapshot.get());
     }
     std::shared_ptr<const cfcm::WarmState> deposit;
-    StatusOr<CfcmResult> solved = cfcm::ForestSolveWithWarm(
-        snapshot->graph(), job.k, options, job.warm, warm, &deposit);
-    if (solved.ok()) {
-      if (deposit != nullptr) {
-        session_->DepositWarmState(snapshot, std::move(deposit));
-      }
-      SolveOutput out;
-      out.selected = std::move(solved->selected);
-      out.seconds = solved->seconds;
-      out.total_forests = solved->total_forests;
-      out.total_walk_steps = solved->total_walk_steps;
-      out.jl_rows = solved->jl_rows;
-      out.rescored_candidates = solved->rescored_candidates;
-      out.heap_pops = solved->heap_pops;
-      out.forests_reused = solved->forests_reused;
-      out.forests_resampled = solved->forests_resampled;
-      out.swap_moves = solved->swap_moves;
-      out.warm_started = solved->warm_started;
-      out.cold_fallback = solved->cold_fallback;
-      output = std::move(out);
-    } else {
-      output = solved.status();
+    output = cfcm::ForestSolveWithWarm(snapshot->graph(), job.k, options,
+                                       job.warm, warm, &deposit);
+    if (output.ok() && deposit != nullptr) {
+      session_->DepositWarmState(snapshot, std::move(deposit));
     }
   } else {
     output = (*solver)->Solve(snapshot->graph(), job.k, options);
   }
   if (trace != nullptr) {
     if (output.ok()) {
-      trace->Annotate("forests", output->total_forests);
-      trace->Annotate("walk_steps", output->total_walk_steps);
-      trace->Annotate("solver_calls", output->solver_calls);
-      // Selection-layer work (DESIGN.md §13): 1 = lazy, 0 = exhaustive.
+      for (const SolveCounter& counter : kSolveCounters) {
+        trace->Annotate(counter.key, (*output).*counter.field);
+      }
+      // Selection strategy (DESIGN.md §13): 1 = lazy, 0 = exhaustive.
       trace->Annotate("selection",
                       job.selection == SelectionMode::kLazy ? 1 : 0);
-      trace->Annotate("rescored_candidates", output->rescored_candidates);
-      trace->Annotate("heap_pops", output->heap_pops);
-      trace->Annotate("forests_reused", output->forests_reused);
-      // Incremental warm-start work (DESIGN.md §16).
+      // Incremental warm-start outcome (DESIGN.md §16).
       trace->Annotate("warm_started", output->warm_started ? 1 : 0);
       trace->Annotate("cold_fallback", output->cold_fallback ? 1 : 0);
-      trace->Annotate("forests_resampled", output->forests_resampled);
-      trace->Annotate("swap_moves", output->swap_moves);
       // Resolved exact kernel as its enum ordinal (annotations are
       // integers); absent when the solver never touched the exact paths.
       if (const auto backend = ParseSolverBackend(output->solver_backend)) {

@@ -30,8 +30,8 @@ struct SolveJob {
   int k = 1;
   double eps = 0.2;      ///< error parameter (randomized solvers)
   uint64_t seed = 1;     ///< full determinism per seed
-  /// Greedy argmax strategy for solvers with the lazy_selection
-  /// capability (DESIGN.md §13); others ignore it.
+  /// Greedy argmax strategy of the sampled solvers (DESIGN.md §13);
+  /// the others ignore it.
   SelectionMode selection = SelectionMode::kLazy;
   /// Kernel behind the exact Laplacian paths (DESIGN.md §14); sampled
   /// solvers ignore it apart from exact scoring.
@@ -80,7 +80,7 @@ using Job = std::variant<SolveJob, EvaluateJob, AugmentJob>;
 /// group centrality.
 struct SolveJobResult {
   std::string algorithm;
-  SolveOutput output;
+  CfcmResult output;
   double cfcc = 0.0;  ///< C(S) of output.selected (exact below
                       ///< EngineOptions::exact_eval_max_n, probed above)
 };

@@ -19,215 +19,120 @@ namespace {
 // to their sampled counterparts. See DESIGN.md "Engineering constants".
 constexpr NodeId kDenseHeuristicMaxN = 512;
 
-class ForestSolver final : public Solver {
- public:
-  ForestSolver()
-      : Solver("forest",
-               "ForestCFCM (Alg. 3): greedy maximization by spanning "
-               "forest sampling",
-               {.optimal = false,
-                .deterministic = false,
-                .randomized = true,
-                .approximation_guarantee = true,
-                .lazy_selection = true,
-                .complexity = "~O(k m eps^-2 log n) expected",
-                .max_recommended_n = 0}) {}
+// Adapters lifting the baselines' own result structs into CfcmResult.
+// ForestCFCM and SchurCFCM already return one and are registered as-is.
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<CfcmResult> result = ForestCfcmMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.total_forests = result->total_forests;
-    out.total_walk_steps = result->total_walk_steps;
-    out.jl_rows = result->jl_rows;
-    out.rescored_candidates = result->rescored_candidates;
-    out.heap_pops = result->heap_pops;
-    out.forests_reused = result->forests_reused;
-    out.forests_resampled = result->forests_resampled;
-    out.swap_moves = result->swap_moves;
-    out.warm_started = result->warm_started;
-    out.cold_fallback = result->cold_fallback;
-    return out;
-  }
-};
+StatusOr<CfcmResult> SolveExact(const Graph& graph, int k,
+                                const CfcmOptions& options) {
+  StatusOr<ExactGreedyResult> result = ExactGreedyMaximize(graph, k, options);
+  if (!result.ok()) return result.status();
+  CfcmResult out;
+  out.selected = std::move(result->selected);
+  out.seconds = result->seconds;
+  out.solver_backend = SolverBackendName(result->backend);
+  return out;
+}
 
-class SchurSolver final : public Solver {
- public:
-  SchurSolver()
-      : Solver("schur",
-               "SchurCFCM (Alg. 5): forest sampling accelerated by a "
-               "Schur complement on hub roots",
-               {.optimal = false,
-                .deterministic = false,
-                .randomized = true,
-                .approximation_guarantee = true,
-                .lazy_selection = true,
-                .complexity = "~O(k m eps^-2 log n) expected, smaller "
-                              "constants on scale-free graphs",
-                .max_recommended_n = 0}) {}
+StatusOr<CfcmResult> SolveApprox(const Graph& graph, int k,
+                                 const CfcmOptions& options) {
+  StatusOr<ApproxGreedyResult> result =
+      ApproxGreedyMaximize(graph, k, options);
+  if (!result.ok()) return result.status();
+  CfcmResult out;
+  out.selected = std::move(result->selected);
+  out.seconds = result->seconds;
+  out.solver_calls = result->solver_calls;
+  // APPROXGREEDY's Laplacian systems always run matrix-free CG.
+  out.solver_backend = SolverBackendName(SolverBackend::kCg);
+  return out;
+}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<CfcmResult> result = SchurCfcmMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.total_forests = result->total_forests;
-    out.total_walk_steps = result->total_walk_steps;
-    out.jl_rows = result->jl_rows;
-    out.auxiliary_roots = result->auxiliary_roots;
-    out.rescored_candidates = result->rescored_candidates;
-    out.heap_pops = result->heap_pops;
-    out.forests_reused = result->forests_reused;
-    return out;
-  }
-};
+StatusOr<CfcmResult> SolveDegree(const Graph& graph, int k,
+                                 const CfcmOptions& /*options*/) {
+  CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
+  Timer timer;
+  CfcmResult out;
+  out.selected = DegreeSelect(graph, k);
+  out.seconds = timer.Seconds();
+  return out;
+}
 
-class ExactGreedySolver final : public Solver {
- public:
-  ExactGreedySolver()
-      : Solver("exact",
-               "EXACT baseline: greedy via Sherman-Morrison downdates "
-               "(dense inverse or factored-solve backend, DESIGN.md §14)",
-               {.optimal = false,
-                .deterministic = true,
-                .randomized = false,
-                .approximation_guarantee = true,
-                .complexity = "O(n^3 + k n^2) dense; "
-                              "O(n (fill + solve) + k n) sparse",
-                .max_recommended_n = 0}) {}
+StatusOr<CfcmResult> SolveTopCfcc(const Graph& graph, int k,
+                                  const CfcmOptions& options) {
+  CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
+  Timer timer;
+  CfcmResult out;
+  out.selected = graph.num_nodes() <= kDenseHeuristicMaxN
+                     ? TopCfccSelectExact(graph, k)
+                     : TopCfccSelectEstimated(graph, k, options);
+  out.seconds = timer.Seconds();
+  return out;
+}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<ExactGreedyResult> result =
-        ExactGreedyMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.solver_backend = SolverBackendName(result->backend);
-    return out;
-  }
-};
-
-class ApproxGreedySolver final : public Solver {
- public:
-  ApproxGreedySolver()
-      : Solver("approx",
-               "APPROXGREEDY baseline (Li et al.): JL-sketched greedy on "
-               "Laplacian solves",
-               {.optimal = false,
-                .deterministic = false,
-                .randomized = true,
-                .approximation_guarantee = true,
-                .complexity = "O(k eps^-2 log n) Laplacian solves",
-                .max_recommended_n = 0}) {}
-
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<ApproxGreedyResult> result =
-        ApproxGreedyMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.solver_calls = result->solver_calls;
-    // APPROXGREEDY's Laplacian systems always run matrix-free CG.
-    out.solver_backend = SolverBackendName(SolverBackend::kCg);
-    return out;
-  }
-};
-
-class DegreeSolver final : public Solver {
- public:
-  DegreeSolver()
-      : Solver("degree",
-               "DEGREE heuristic: the k nodes of largest (weighted) degree",
-               {.optimal = false,
-                .deterministic = true,
-                .randomized = false,
-                .approximation_guarantee = false,
-                .complexity = "O(n log n)",
-                .max_recommended_n = 0}) {}
-
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    (void)options;
-    CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
-    Timer timer;
-    SolveOutput out;
-    out.selected = DegreeSelect(graph, k);
-    out.seconds = timer.Seconds();
-    return out;
-  }
-};
-
-class TopCfccSolver final : public Solver {
- public:
-  TopCfccSolver()
-      : Solver("topcfcc",
-               "TOP-CFCC heuristic: the k nodes of largest single-node "
-               "CFCC (dense when n <= 512, forest-estimated above)",
-               {.optimal = false,
-                .deterministic = false,
-                .randomized = true,
-                .approximation_guarantee = false,
-                .complexity = "O(n^3) dense / sampled above n = 512",
-                .max_recommended_n = 0}) {}
-
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
-    Timer timer;
-    SolveOutput out;
-    out.selected = graph.num_nodes() <= kDenseHeuristicMaxN
-                       ? TopCfccSelectExact(graph, k)
-                       : TopCfccSelectEstimated(graph, k, options);
-    out.seconds = timer.Seconds();
-    return out;
-  }
-};
-
-class OptimumSolver final : public Solver {
- public:
-  OptimumSolver()
-      : Solver("optimum",
-               "Exhaustive optimum over all C(n, k) groups (tiny graphs)",
-               {.optimal = true,
-                .deterministic = true,
-                .randomized = false,
-                .approximation_guarantee = true,
-                .complexity = "O(C(n, k) n^2); rejects n > 128",
-                .max_recommended_n = 128}) {}
-
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<OptimumResult> result = OptimumSearch(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->best);
-    out.seconds = result->seconds;
-    out.solver_backend = SolverBackendName(result->backend);
-    return out;
-  }
-};
+StatusOr<CfcmResult> SolveOptimum(const Graph& graph, int k,
+                                  const CfcmOptions& options) {
+  StatusOr<OptimumResult> result = OptimumSearch(graph, k, options);
+  if (!result.ok()) return result.status();
+  CfcmResult out;
+  out.selected = std::move(result->best);
+  out.seconds = result->seconds;
+  out.solver_backend = SolverBackendName(result->backend);
+  return out;
+}
 
 }  // namespace
 
+// One entry per algorithm, listed in name order (Names() and solvers()
+// promise ascending names).
 SolverRegistry::SolverRegistry() {
-  solvers_.push_back(std::make_unique<ApproxGreedySolver>());
-  solvers_.push_back(std::make_unique<DegreeSolver>());
-  solvers_.push_back(std::make_unique<ExactGreedySolver>());
-  solvers_.push_back(std::make_unique<ForestSolver>());
-  solvers_.push_back(std::make_unique<OptimumSolver>());
-  solvers_.push_back(std::make_unique<SchurSolver>());
-  solvers_.push_back(std::make_unique<TopCfccSolver>());
-  std::sort(solvers_.begin(), solvers_.end(),
-            [](const auto& a, const auto& b) { return a->name() < b->name(); });
+  const auto add = [this](const char* name, const char* description,
+                          SolverCapabilities caps, Solver::SolveFn solve) {
+    solvers_.push_back(std::make_unique<Solver>(name, description,
+                                                std::move(caps), solve));
+  };
+  add("approx",
+      "APPROXGREEDY baseline (Li et al.): JL-sketched greedy on Laplacian "
+      "solves",
+      {.randomized = true,
+       .approximation_guarantee = true,
+       .complexity = "O(k eps^-2 log n) Laplacian solves"},
+      &SolveApprox);
+  add("degree", "DEGREE heuristic: the k nodes of largest (weighted) degree",
+      {.deterministic = true, .complexity = "O(n log n)"}, &SolveDegree);
+  add("exact",
+      "EXACT baseline: greedy via Sherman-Morrison downdates (dense inverse "
+      "or factored-solve backend, DESIGN.md §14)",
+      {.deterministic = true,
+       .approximation_guarantee = true,
+       .complexity = "O(n^3 + k n^2) dense; O(n (fill + solve) + k n) sparse"},
+      &SolveExact);
+  add("forest",
+      "ForestCFCM (Alg. 3): greedy maximization by spanning forest sampling",
+      {.randomized = true,
+       .approximation_guarantee = true,
+       .complexity = "~O(k m eps^-2 log n) expected"},
+      &ForestCfcmMaximize);
+  add("optimum", "Exhaustive optimum over all C(n, k) groups (tiny graphs)",
+      {.optimal = true,
+       .deterministic = true,
+       .approximation_guarantee = true,
+       .complexity = "O(C(n, k) n^2); rejects n > 128",
+       .max_recommended_n = 128},
+      &SolveOptimum);
+  add("schur",
+      "SchurCFCM (Alg. 5): forest sampling accelerated by a Schur complement "
+      "on hub roots",
+      {.randomized = true,
+       .approximation_guarantee = true,
+       .complexity = "~O(k m eps^-2 log n) expected, smaller constants on "
+                     "scale-free graphs"},
+      &SchurCfcmMaximize);
+  add("topcfcc",
+      "TOP-CFCC heuristic: the k nodes of largest single-node CFCC (dense "
+      "when n <= 512, forest-estimated above)",
+      {.randomized = true,
+       .complexity = "O(n^3) dense / sampled above n = 512"},
+      &SolveTopCfcc);
 }
 
 const SolverRegistry& SolverRegistry::Global() {

@@ -1,11 +1,11 @@
 // Solver registry: every CFCM maximization algorithm behind one
-// polymorphic, string-keyed interface (DESIGN.md §6).
+// name -> function table (DESIGN.md §6).
 #ifndef CFCM_ENGINE_REGISTRY_H_
 #define CFCM_ENGINE_REGISTRY_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfcm/options.h"
@@ -23,54 +23,27 @@ struct SolverCapabilities {
   bool deterministic = false;  ///< output independent of options.seed
   bool randomized = false;   ///< Monte-Carlo; deterministic per seed
   bool approximation_guarantee = false;  ///< (1 - k/((k-1)e) - eps) w.h.p.
-  bool lazy_selection = false;  ///< supports CfcmOptions::selection (CELF
-                                ///< lazy greedy, DESIGN.md §13)
   std::string complexity;    ///< human-readable cost, e.g. "O(n^3 + k n^2)"
   NodeId max_recommended_n = 0;  ///< soft size ceiling; 0 = no limit
 };
 
-/// \brief Uniform result of any registered solver: the union of the
-/// per-algorithm result structs. Fields that do not apply to a given
-/// algorithm keep their defaults.
-struct SolveOutput {
-  std::vector<NodeId> selected;    ///< chosen group, greedy/rank order
-  double seconds = 0.0;            ///< solver wall time
-  std::int64_t total_forests = 0;  ///< forest samplers only
-  std::int64_t total_walk_steps = 0;  ///< loop-erased walk steps (samplers)
-  int jl_rows = 0;                 ///< JL sketch rows (samplers only)
-  int auxiliary_roots = 0;         ///< SchurCFCM |T|
-  int solver_calls = 0;            ///< APPROXGREEDY Laplacian systems
-
-  // Selection-layer work counters (lazy_selection solvers; DESIGN.md
-  // §13). Exhaustive runs fill rescored_candidates only.
-  std::int64_t rescored_candidates = 0;
-  std::int64_t heap_pops = 0;
-  std::int64_t forests_reused = 0;
-
-  // Incremental warm-start diagnostics (DESIGN.md §16). Only the forest
-  // solver running through the warm pipeline ever sets them.
-  std::int64_t forests_resampled = 0;
-  std::int64_t swap_moves = 0;
-  bool warm_started = false;
-  bool cold_fallback = false;
-
-  /// Resolved Laplacian kernel ("dense" / "sparse_ldlt" / "cg";
-  /// DESIGN.md §14). Empty for solvers that never run exact algebra.
-  std::string solver_backend;
-};
-
-/// \brief Interface implemented by every maximization algorithm.
+/// \brief One registered maximization algorithm: a name, its
+/// capabilities and the free function in src/cfcm/ that runs it.
 ///
-/// Implementations are stateless adapters over the free functions in
-/// src/cfcm/, so Solve() is safe to call concurrently from many jobs;
-/// randomized solvers are fully deterministic in options.seed.
+/// The functions are stateless, so Solve() is safe to call concurrently
+/// from many jobs; randomized solvers are fully deterministic in
+/// options.seed.
 class Solver {
  public:
-  Solver(std::string name, std::string description, SolverCapabilities caps)
+  using SolveFn = StatusOr<CfcmResult> (*)(const Graph& graph, int k,
+                                           const CfcmOptions& options);
+
+  Solver(std::string name, std::string description, SolverCapabilities caps,
+         SolveFn solve)
       : name_(std::move(name)),
         description_(std::move(description)),
-        capabilities_(std::move(caps)) {}
-  virtual ~Solver() = default;
+        capabilities_(std::move(caps)),
+        solve_(solve) {}
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
@@ -81,13 +54,16 @@ class Solver {
 
   /// Selects a k-node group on `graph` approximately (or exactly)
   /// maximizing C(S).
-  virtual StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                                      const CfcmOptions& options) const = 0;
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options) const {
+    return solve_(graph, k, options);
+  }
 
  private:
   std::string name_;
   std::string description_;
   SolverCapabilities capabilities_;
+  SolveFn solve_;
 };
 
 /// \brief Immutable name -> Solver table of all built-in algorithms:

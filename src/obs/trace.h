@@ -33,7 +33,7 @@ struct TraceSpan {
   int64_t start_ns = 0;   ///< offset from the context's epoch
   int64_t duration_ns = 0;
   bool nested = false;    ///< opened while another span was already open
-  /// Phase-scoped measurements (e.g. {"walk_steps", 123}).
+  /// Phase-scoped measurements (e.g. {"edges_added", 2}).
   std::vector<std::pair<std::string, int64_t>> annotations;
 };
 

@@ -290,6 +290,40 @@ uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
   return 0;
 }
 
+// The registry counters `stats` projects into its "observed" block. Each
+// lands at its name's dotted path, a leading "serve." dropped:
+// "serve.cache.hits" -> observed.cache.hits.
+constexpr const char* kObservedCounters[] = {
+    "serve.cache.hits",
+    "serve.cache.misses",
+    "serve.cache.evictions",
+    "serve.catalog.loads",
+    "serve.catalog.evictions",
+    "serve.catalog.mutations",
+    "engine.linalg.factorizations",
+    "engine.linalg.solves",
+    "engine.linalg.cg_iterations",
+    "engine.incremental.forests_reused",
+    "engine.incremental.forests_resampled",
+    "engine.incremental.warm_starts",
+    "engine.incremental.cold_fallbacks",
+    "engine.incremental.swap_moves",
+};
+
+// Sets `value` at the dotted `path` under `root`, creating the
+// intermediate objects.
+void SetDotted(JsonValue::Object& root, std::string_view path,
+               JsonValue value) {
+  JsonValue::Object* node = &root;
+  for (std::size_t dot = path.find('.'); dot != std::string_view::npos;
+       path.remove_prefix(dot + 1), dot = path.find('.')) {
+    JsonValue& child = (*node)[std::string(path.substr(0, dot))];
+    if (!child.is_object()) child = JsonValue(JsonValue::Object{});
+    node = &child.object();
+  }
+  (*node)[std::string(path)] = std::move(value);
+}
+
 // Renders the collected spans into the response. `pre_ns` is the time
 // spent before the context existed (socket read + queue wait + parse),
 // already present as AddSpan entries — it extends total_us, which spans
@@ -768,20 +802,17 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
       // algebra (pure samplers / heuristics).
       {"solver_backend", solve->output.solver_backend},
       {"cfcc", solve->cfcc},
-      {"forests", solve->output.total_forests},
-      {"walk_steps", solve->output.total_walk_steps},
-      {"rescored_candidates", solve->output.rescored_candidates},
-      {"forests_reused", solve->output.forests_reused},
-      // Incremental warm-start diagnostics (DESIGN.md §16).
+      // Incremental warm-start outcome (DESIGN.md §16).
       {"warm", cfcm::WarmModeName(warm_mode)},
       {"warm_started", solve->output.warm_started},
       {"cold_fallback", solve->output.cold_fallback},
-      {"forests_resampled", solve->output.forests_resampled},
-      {"swap_moves", solve->output.swap_moves},
       // Solver cost of the result; on a hit this is the original solve's
       // time, not this request's latency.
       {"seconds", solve->output.seconds},
   };
+  for (const cfcm::SolveCounter& counter : cfcm::kSolveCounters) {
+    response[counter.key] = JsonValue(solve->output.*counter.field);
+  }
   if (cache_state == "stale") {
     // The answer describes an ancestor graph; the composed factors
     // bound the current C(S) of ITS group: C' ∈ [lo·C, hi·C].
@@ -1063,8 +1094,6 @@ JsonValue ServeHandler::HandleStats() {
   // per process) the two views describe the same traffic.
   const obs::MetricsSnapshot observed = obs::MetricsRegistry::Global()
                                             .snapshot();
-  const uint64_t cache_hits = CounterValue(observed, "serve.cache.hits");
-  const uint64_t cache_misses = CounterValue(observed, "serve.cache.misses");
   JsonValue::Object requests_json;
   JsonValue::Object latency_json;
   for (const char* op : {"solve", "evaluate", "mutate", "augment"}) {
@@ -1082,67 +1111,17 @@ JsonValue ServeHandler::HandleStats() {
     }
   }
   JsonValue::Object observed_json{
-      {"cache",
-       JsonValue(JsonValue::Object{
-           {"hits", static_cast<int64_t>(cache_hits)},
-           {"misses", static_cast<int64_t>(cache_misses)},
-           {"lookups", static_cast<int64_t>(cache_hits + cache_misses)},
-           {"evictions",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.cache.evictions"))},
-       })},
-      {"catalog",
-       JsonValue(JsonValue::Object{
-           {"loads",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.loads"))},
-           {"evictions",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.evictions"))},
-           {"mutations",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.mutations"))},
-       })},
       {"requests", JsonValue(std::move(requests_json))},
       {"latency", JsonValue(std::move(latency_json))},
-      // The PR 8 sparse-solver counters, from the same coherent snapshot
-      // as everything else in this block.
-      {"engine",
-       JsonValue(JsonValue::Object{
-           {"linalg",
-            JsonValue(JsonValue::Object{
-                {"factorizations",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.linalg.factorizations"))},
-                {"solves",
-                 static_cast<int64_t>(
-                     CounterValue(observed, "engine.linalg.solves"))},
-                {"cg_iterations",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.linalg.cg_iterations"))},
-            })},
-           // The incremental warm-start counters (DESIGN.md §16), same
-           // coherent snapshot.
-           {"incremental",
-            JsonValue(JsonValue::Object{
-                {"forests_reused",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.forests_reused"))},
-                {"forests_resampled",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.forests_resampled"))},
-                {"warm_starts",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.warm_starts"))},
-                {"cold_fallbacks",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.cold_fallbacks"))},
-                {"swap_moves",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.swap_moves"))},
-            })},
-       })},
   };
+  for (std::string_view metric : kObservedCounters) {
+    const uint64_t value = CounterValue(observed, metric);
+    if (metric.starts_with("serve.")) metric.remove_prefix(6);
+    SetDotted(observed_json, metric, static_cast<int64_t>(value));
+  }
+  SetDotted(observed_json, "cache.lookups",
+            static_cast<int64_t>(CounterValue(observed, "serve.cache.hits") +
+                                 CounterValue(observed, "serve.cache.misses")));
 
   const BuildInfo& build = GetBuildInfo();
   JsonValue::Object response{

@@ -329,18 +329,14 @@ void PrintJsonJob(const cfcm::engine::Job& spec,
           std::get_if<cfcm::engine::SolveJobResult>(&*result)) {
     std::printf("\"status\":\"ok\",\"selected\":");
     PrintJsonGroup(solve->output.selected);
+    std::printf(",\"cfcc\":%.9g", solve->cfcc);
+    for (const cfcm::SolveCounter& counter : cfcm::kSolveCounters) {
+      std::printf(",\"%s\":%lld", counter.key,
+                  static_cast<long long>(solve->output.*counter.field));
+    }
     std::printf(
-        ",\"cfcc\":%.9g,\"forests\":%lld,\"walk_steps\":%lld,"
-        "\"rescored_candidates\":%lld,\"forests_reused\":%lld,"
-        "\"forests_resampled\":%lld,\"swap_moves\":%lld,"
-        "\"warm_started\":%s,\"cold_fallback\":%s,"
+        ",\"warm_started\":%s,\"cold_fallback\":%s,"
         "\"solver_backend\":\"%s\",\"seconds\":%.6f}",
-        solve->cfcc, static_cast<long long>(solve->output.total_forests),
-        static_cast<long long>(solve->output.total_walk_steps),
-        static_cast<long long>(solve->output.rescored_candidates),
-        static_cast<long long>(solve->output.forests_reused),
-        static_cast<long long>(solve->output.forests_resampled),
-        static_cast<long long>(solve->output.swap_moves),
         solve->output.warm_started ? "true" : "false",
         solve->output.cold_fallback ? "true" : "false",
         JsonEscapeString(solve->output.solver_backend).c_str(),

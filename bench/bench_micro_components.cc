@@ -81,21 +81,28 @@ void BM_SubtreeJlSums(benchmark::State& state) {
 }
 BENCHMARK(BM_SubtreeJlSums)->Arg(8)->Arg(24)->Arg(64);
 
+// The first-pick kernel's per-forest pass: X_f and O_f in one BFS walk.
 void BM_PrefixPasses(benchmark::State& state) {
   const Graph& g = SharedBaGraph(10000);
   const cfcm::TreeScaffold scaffold = cfcm::MakeTreeScaffold(g, {0});
   cfcm::ForestSampler sampler(g);
   cfcm::Rng rng(4);
   const cfcm::RootedForest& forest = sampler.Sample(scaffold.is_root, &rng);
+  std::vector<int32_t> sizes;
+  cfcm::SubtreeSizes(forest, &sizes);
   std::vector<double> xbuf(static_cast<std::size_t>(g.num_nodes()));
+  std::vector<double> obuf(static_cast<std::size_t>(g.num_nodes()));
   for (auto _ : state) {
-    cfcm::DiagPrefixPass(scaffold, forest, &xbuf);
+    cfcm::DiagOnesPrefixPass(scaffold, forest, sizes, &xbuf, &obuf);
     benchmark::DoNotOptimize(xbuf.data());
+    benchmark::DoNotOptimize(obuf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
 BENCHMARK(BM_PrefixPasses);
 
+// The JL kernel's per-forest pass: X_f and Y_f in one BFS walk.
 void BM_JlPrefixPass(benchmark::State& state) {
   const Graph& g = SharedBaGraph(10000);
   const int w = static_cast<int>(state.range(0));
@@ -107,11 +114,13 @@ void BM_JlPrefixPass(benchmark::State& state) {
   const std::size_t entries = static_cast<std::size_t>(g.num_nodes()) * w;
   std::vector<double> sub(entries);
   std::vector<double> ybuf(entries);
+  std::vector<double> xbuf(static_cast<std::size_t>(g.num_nodes()));
   std::vector<NodeId> yrow(static_cast<std::size_t>(g.num_nodes()));
   cfcm::SubtreeJlSums(forest, scaffold.is_root, sketch, sub.data());
   for (auto _ : state) {
-    cfcm::JlPrefixPass(scaffold, forest, sub.data(), w, ybuf.data(),
-                       yrow.data());
+    cfcm::DiagJlPrefixPass(scaffold, forest, sub.data(), w, &xbuf,
+                           ybuf.data(), yrow.data());
+    benchmark::DoNotOptimize(xbuf.data());
     benchmark::DoNotOptimize(ybuf.data());
     benchmark::ClobberMemory();
   }

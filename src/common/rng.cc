@@ -9,12 +9,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& lane : s_) lane = SplitMix64(&sm);
@@ -22,36 +16,5 @@ Rng::Rng(uint64_t seed) {
 
 Rng::Rng(uint64_t seed, uint64_t stream)
     : Rng(seed ^ (0x9e3779b97f4a7c15ULL + stream * 0xda942042e4dd58b5ULL)) {}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint32_t Rng::NextBounded(uint32_t bound) {
-  // Lemire (2019): multiply a 32-bit draw by `bound` and keep the high
-  // word; reject the short interval that would bias small residues.
-  uint64_t m = static_cast<uint64_t>(static_cast<uint32_t>(Next())) * bound;
-  auto lo = static_cast<uint32_t>(m);
-  if (lo < bound) {
-    const uint32_t threshold = -bound % bound;
-    while (lo < threshold) {
-      m = static_cast<uint64_t>(static_cast<uint32_t>(Next())) * bound;
-      lo = static_cast<uint32_t>(m);
-    }
-  }
-  return static_cast<uint32_t>(m >> 32);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
 
 }  // namespace cfcm

@@ -4,7 +4,9 @@
 // on the hottest path of the whole library. We use xoshiro256++ seeded via
 // SplitMix64; every sampled forest gets its own stream derived from
 // (base_seed, forest_index) so results are reproducible regardless of the
-// number of worker threads.
+// number of worker threads. The draw functions are defined inline here so
+// a random-walk step compiles to a few register operations instead of an
+// out-of-line call (RngTest pins their outputs).
 #ifndef CFCM_COMMON_RNG_H_
 #define CFCM_COMMON_RNG_H_
 
@@ -34,20 +36,49 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Next 64 uniform random bits.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
   result_type operator()() { return Next(); }
 
   /// Uniform integer in [0, bound). `bound` must be positive. Uses
   /// Lemire's multiply-shift rejection method (no modulo bias).
-  uint32_t NextBounded(uint32_t bound);
+  uint32_t NextBounded(uint32_t bound) {
+    // Lemire (2019): multiply a 32-bit draw by `bound` and keep the high
+    // word; reject the short interval that would bias small residues.
+    uint64_t m = static_cast<uint64_t>(static_cast<uint32_t>(Next())) * bound;
+    auto lo = static_cast<uint32_t>(m);
+    if (lo < bound) [[unlikely]] {
+      const uint32_t threshold = -bound % bound;
+      while (lo < threshold) {
+        m = static_cast<uint64_t>(static_cast<uint32_t>(Next())) * bound;
+        lo = static_cast<uint32_t>(m);
+      }
+    }
+    return static_cast<uint32_t>(m >> 32);
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Fair coin; used by JL sketches (+1/-1 entries).
   bool NextBool() { return (Next() >> 63) != 0; }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

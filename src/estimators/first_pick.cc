@@ -41,8 +41,7 @@ class FirstPickKernel final : public ForestKernel {
     Rng rng(seed_, forest_index);
     ws.forest = &ws.sampler.Sample(scaffold_.is_root, &rng);
     SubtreeSizes(*ws.forest, &ws.sizes);
-    DiagPrefixPass(scaffold_, *ws.forest, &ws.xbuf);
-    OnesPrefixPass(scaffold_, *ws.forest, ws.sizes, &ws.obuf);
+    DiagOnesPrefixPass(scaffold_, *ws.forest, ws.sizes, &ws.xbuf, &ws.obuf);
     return ws.sampler.last_walk_steps();
   }
 

@@ -58,9 +58,8 @@ std::int64_t JlForestKernel::ProcessForest(std::size_t slot,
     }
   }
   SubtreeJlSums(*ws.forest, scaffold_.is_root, sketch_, ws.sub.data());
-  DiagPrefixPass(scaffold_, *ws.forest, &ws.xbuf);
-  JlPrefixPass(scaffold_, *ws.forest, ws.sub.data(), jl_rows_,
-               ws.ybuf.data(), ws.yrow.data());
+  DiagJlPrefixPass(scaffold_, *ws.forest, ws.sub.data(), jl_rows_, &ws.xbuf,
+                   ws.ybuf.data(), ws.yrow.data());
   return walk_steps;
 }
 

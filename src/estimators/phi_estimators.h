@@ -53,6 +53,21 @@ void OnesPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
 void JlPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
                   const double* sub, int w, double* ybuf, NodeId* rows);
 
+/// \brief DiagPrefixPass and JlPrefixPass fused into one walk of the BFS
+/// order, with outputs bit-identical to running the two in turn. Each
+/// node takes one branch, on whether its BFS edge is a forest edge in
+/// either direction (owned Y row) or not (shared row, X copied).
+void DiagJlPrefixPass(const TreeScaffold& scaffold, const RootedForest& forest,
+                      const double* sub, int w, std::vector<double>* xbuf,
+                      double* ybuf, NodeId* rows);
+
+/// \brief DiagPrefixPass and OnesPrefixPass fused into one walk of the BFS
+/// order, with outputs bit-identical to running the two in turn.
+void DiagOnesPrefixPass(const TreeScaffold& scaffold,
+                        const RootedForest& forest,
+                        const std::vector<int32_t>& sizes,
+                        std::vector<double>* xbuf, std::vector<double>* obuf);
+
 }  // namespace cfcm
 
 #endif  // CFCM_ESTIMATORS_PHI_ESTIMATORS_H_

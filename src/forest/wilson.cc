@@ -25,25 +25,54 @@ ForestSampler::ForestSampler(const Graph& graph) : graph_(graph) {
   }
 }
 
-NodeId ForestSampler::StepFrom(NodeId u, Rng* rng) const {
-  const auto nbrs = graph_.neighbors(u);
-  if (prefix_.empty()) {
-    // Unit-weighted fast path: uniform neighbor, one bounded draw.
-    return nbrs[rng->NextBounded(static_cast<uint32_t>(nbrs.size()))];
+template <bool kWeighted>
+void ForestSampler::Walk(Rng* rng) {
+  const NodeId n = graph_.num_nodes();
+  const EdgeId* offsets = graph_.offsets().data();
+  const NodeId* nbrs = graph_.raw_neighbors().data();
+  const double* prefix = prefix_.data();
+  char* in_forest = in_forest_.data();
+  NodeId* parent = forest_.parent.data();
+  std::int64_t steps = 0;
+
+  for (NodeId start = 0; start < n; ++start) {
+    if (in_forest[start]) continue;
+    // Phase 1: random walk until the current forest is hit. Only the last
+    // exit edge per node survives, which is exactly loop erasure.
+    NodeId i = start;
+    while (!in_forest[i]) {
+      const EdgeId lo = offsets[i];
+      const EdgeId hi = offsets[i + 1];
+      EdgeId k;
+      if constexpr (kWeighted) {
+        // First slot whose cumulative weight exceeds r; r < total almost
+        // surely, but clamp against rounding at the boundary.
+        const double r = rng->NextDouble() * prefix[hi - 1];
+        const double* it = std::upper_bound(prefix + lo, prefix + hi, r);
+        k = it == prefix + hi ? hi - 1 : it - prefix;
+      } else {
+        // Unit-weighted fast path: uniform neighbor, one bounded draw.
+        k = lo + rng->NextBounded(static_cast<uint32_t>(hi - lo));
+      }
+      const NodeId next = nbrs[k];
+      parent[i] = next;
+      ++steps;
+      i = next;
+    }
+    // Phase 2: retrace the loop-erased path and commit it to the forest.
+    chain_.clear();
+    i = start;
+    while (!in_forest[i]) {
+      in_forest[i] = 1;
+      chain_.push_back(i);
+      i = parent[i];
+    }
+    // Append root-to-leaf so that the final global reversal yields a
+    // leaves-before-parents order (paper Alg. 1 lines 13-14).
+    forest_.leaves_first.insert(forest_.leaves_first.end(), chain_.rbegin(),
+                                chain_.rend());
   }
-  const auto& offsets = graph_.offsets();
-  const std::size_t lo = static_cast<std::size_t>(offsets[u]);
-  const std::size_t hi = static_cast<std::size_t>(offsets[u + 1]);
-  const double total = prefix_[hi - 1];
-  const double r = rng->NextDouble() * total;
-  // First slot whose cumulative weight exceeds r; r < total almost
-  // surely, but clamp against rounding at the boundary.
-  const auto it =
-      std::upper_bound(prefix_.begin() + lo, prefix_.begin() + hi, r);
-  const std::size_t k =
-      it == prefix_.begin() + hi ? hi - 1
-                                 : static_cast<std::size_t>(it - prefix_.begin());
-  return graph_.raw_neighbors()[k];
+  last_walk_steps_ = steps;
 }
 
 const RootedForest& ForestSampler::Sample(const std::vector<char>& is_root,
@@ -53,7 +82,6 @@ const RootedForest& ForestSampler::Sample(const std::vector<char>& is_root,
 
   std::copy(is_root.begin(), is_root.end(), in_forest_.begin());
   forest_.leaves_first.clear();
-  last_walk_steps_ = 0;
 
   auto& parent = forest_.parent;
   for (NodeId u = 0; u < n; ++u) {
@@ -61,29 +89,10 @@ const RootedForest& ForestSampler::Sample(const std::vector<char>& is_root,
     forest_.root_of[u] = is_root[u] ? u : -1;
   }
 
-  for (NodeId start = 0; start < n; ++start) {
-    if (in_forest_[start]) continue;
-    // Phase 1: random walk until the current forest is hit. Only the last
-    // exit edge per node survives, which is exactly loop erasure.
-    NodeId i = start;
-    while (!in_forest_[i]) {
-      parent[i] = StepFrom(i, rng);
-      ++last_walk_steps_;
-      i = parent[i];
-    }
-    // Phase 2: retrace the loop-erased path and commit it to the forest.
-    chain_.clear();
-    i = start;
-    while (!in_forest_[i]) {
-      in_forest_[i] = 1;
-      chain_.push_back(i);
-      i = parent[i];
-    }
-    // Append root-to-leaf so that the final global reversal yields a
-    // leaves-before-parents order (paper Alg. 1 lines 13-14).
-    for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-      forest_.leaves_first.push_back(*it);
-    }
+  if (prefix_.empty()) {
+    Walk<false>(rng);
+  } else {
+    Walk<true>(rng);
   }
   std::reverse(forest_.leaves_first.begin(), forest_.leaves_first.end());
 

@@ -31,6 +31,8 @@ struct RootedForest {
 /// probability w_uv / d_w(u) via a per-node prefix-sum table built once
 /// at construction (O(log deg) binary search per step), so sampled
 /// forests follow the weighted forest measure Pr[F] ∝ prod_{e in F} w_e.
+/// The walk loop is compiled once per path with the CSR arrays hoisted
+/// into locals, so a step is an inlined draw plus a neighbor load.
 class ForestSampler {
  public:
   explicit ForestSampler(const Graph& graph);
@@ -48,7 +50,8 @@ class ForestSampler {
   std::int64_t last_walk_steps() const { return last_walk_steps_; }
 
  private:
-  NodeId StepFrom(NodeId u, Rng* rng) const;
+  template <bool kWeighted>
+  void Walk(Rng* rng);
 
   const Graph& graph_;
   RootedForest forest_;

@@ -13,10 +13,10 @@ namespace cfcm {
 ///
 /// Entries are derived from one pre-mixed 64-bit word per node per 64
 /// rows, so the sketch costs 8*ceil(w/64) bytes per node instead of 8*w.
-/// Column extraction writes each entry as the bits of +scale with the
-/// IEEE sign bit set from its inverted random bit: no compare or select,
-/// so no data-dependent branch, and the result is bit-identical to
-/// Entry() because -scale is +scale with the sign bit flipped.
+/// Column extraction copies four entries at a time from a 16-entry table
+/// holding the ±scale values of every 4-bit sign pattern (512 bytes per
+/// sketch): no compare, select or data-dependent branch, and the result
+/// is bit-identical to Entry() because the table holds Entry()'s values.
 /// Deterministic in (seed).
 class JlSketch {
  public:
@@ -42,6 +42,8 @@ class JlSketch {
   int num_words_;
   double scale_;
   std::vector<uint64_t> words_;  // n * num_words_ sign words
+  // nibble_[4 * b + k] = bit k of b ? +scale : -scale, for b in [0, 16).
+  alignas(64) double nibble_[64];
 };
 
 /// Theory-faithful row count 24 * (eps)^{-2} * ln n (Lemma 3.4) — exposed

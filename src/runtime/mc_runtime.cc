@@ -14,14 +14,18 @@ namespace {
 // Per-shard commit turnstile: the next relative forest index allowed to
 // commit. Spin briefly (the predecessor is usually mid-commit on another
 // core), then yield so an oversubscribed host still makes progress.
-void AwaitTurn(const std::atomic<int>& ticket, int relative_forest) {
+// Returns how many times it yielded.
+std::int64_t AwaitTurn(const std::atomic<int>& ticket, int relative_forest) {
+  std::int64_t yields = 0;
   int spins = 0;
   while (ticket.load(std::memory_order_acquire) != relative_forest) {
     if (++spins >= 256) {
       std::this_thread::yield();
+      ++yields;
       spins = 0;
     }
   }
+  return yields;
 }
 
 }  // namespace
@@ -57,9 +61,11 @@ McRunStats RunForestBatch(ThreadPool& pool, const McRunOptions& options,
 
   std::atomic<int> next_chunk{0};
   std::atomic<std::int64_t> walk_steps{0};
+  std::atomic<std::int64_t> commit_yields{0};
 
   pool.ParallelFor(McScratchSlots(pool), [&](std::size_t slot) {
     std::int64_t local_steps = 0;
+    std::int64_t local_yields = 0;
     for (;;) {
       const int c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) break;
@@ -69,21 +75,23 @@ McRunStats RunForestBatch(ThreadPool& pool, const McRunOptions& options,
         local_steps +=
             kernel.ProcessForest(slot, base_forest + static_cast<uint64_t>(r));
         for (int s = 0; s < num_shards; ++s) {
-          AwaitTurn(tickets[s], r);
+          local_yields += AwaitTurn(tickets[s], r);
           const NodeId begin = static_cast<NodeId>(s) * shard_width;
           kernel.Accumulate(slot, begin,
                             begin + std::min<NodeId>(shard_width, n - begin));
           tickets[s].store(r + 1, std::memory_order_release);
         }
-        AwaitTurn(tickets[num_shards], r);
+        local_yields += AwaitTurn(tickets[num_shards], r);
         kernel.AccumulateTail(slot);
         tickets[num_shards].store(r + 1, std::memory_order_release);
       }
     }
     walk_steps.fetch_add(local_steps, std::memory_order_relaxed);
+    commit_yields.fetch_add(local_yields, std::memory_order_relaxed);
   });
 
   stats.walk_steps = walk_steps.load(std::memory_order_relaxed);
+  stats.commit_yields = commit_yields.load(std::memory_order_relaxed);
 
   // Observability only: these counters never feed back into scheduling,
   // so the per-seed bitwise determinism of the batch is untouched.
@@ -96,10 +104,13 @@ McRunStats RunForestBatch(ThreadPool& pool, const McRunOptions& options,
       &obs::MetricsRegistry::Global().counter("runtime.walk_steps");
   static obs::Counter* const chunks =
       &obs::MetricsRegistry::Global().counter("runtime.chunks");
+  static obs::Counter* const yields =
+      &obs::MetricsRegistry::Global().counter("runtime.commit_yields");
   batches->Add(1);
   forests->Add(static_cast<uint64_t>(stats.forests));
   steps->Add(static_cast<uint64_t>(stats.walk_steps));
   chunks->Add(static_cast<uint64_t>(stats.chunks));
+  yields->Add(static_cast<uint64_t>(stats.commit_yields));
   return stats;
 }
 

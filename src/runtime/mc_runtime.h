@@ -86,6 +86,10 @@ struct McRunStats {
   std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
   int forests = 0;              ///< forests processed (== count)
   int chunks = 0;               ///< scheduling chunks used
+  /// Times an executor yielded its core while waiting for its commit
+  /// turn (AwaitTurn spins 256 times between yields). Also published
+  /// as the `runtime.commit_yields` registry counter.
+  std::int64_t commit_yields = 0;
 };
 
 /// Number of scratch slots a kernel must provision to run on `pool`

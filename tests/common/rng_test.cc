@@ -79,6 +79,33 @@ TEST(SplitMix64Test, KnownSequenceIsDeterministicAndDistinct) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(SplitMix64(&s1), SplitMix64(&s2));
 }
 
+// Known answers: every sampled forest and sketch is a function of these
+// streams, so an inlined or restructured generator must reproduce them
+// bit for bit (DESIGN.md §3).
+TEST(RngTest, KnownAnswersSeedOnly) {
+  Rng next(42), bounded(42), unit(42);
+  const uint64_t kNext[] = {0xd0764d4f4476689fULL, 0x519e4174576f3791ULL,
+                            0xfbe07cfb0c24ed8cULL};
+  const uint32_t kBounded[] = {1, 2, 0, 0, 3, 2, 0, 0};
+  const double kUnit[] = {0x1.a0ec9a9e88ecdp-1, 0x1.467905d15dbccp-2,
+                          0x1.f7c0f9f61849dp-1};
+  for (uint64_t v : kNext) EXPECT_EQ(next.Next(), v);
+  for (uint32_t v : kBounded) EXPECT_EQ(bounded.NextBounded(7), v);
+  for (double v : kUnit) EXPECT_EQ(unit.NextDouble(), v);
+}
+
+TEST(RngTest, KnownAnswersSeedAndStream) {
+  Rng next(7, 3), bounded(7, 3), unit(7, 3);
+  const uint64_t kNext[] = {0x017d906812d9baf6ULL, 0x53162ed3898accbaULL,
+                            0xe7108a224d4c8b11ULL};
+  const uint32_t kBounded[] = {0, 3, 2, 5, 4, 5, 2, 4};
+  const double kUnit[] = {0x1.7d906812d9b8p-8, 0x1.4c58bb4e262b2p-2,
+                          0x1.ce2114449a991p-1};
+  for (uint64_t v : kNext) EXPECT_EQ(next.Next(), v);
+  for (uint32_t v : kBounded) EXPECT_EQ(bounded.NextBounded(7), v);
+  for (double v : kUnit) EXPECT_EQ(unit.NextDouble(), v);
+}
+
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::min() == 0);
   static_assert(Rng::max() == ~0ULL);

@@ -201,6 +201,49 @@ TEST(JlPrefixPassTest, SharedRowsMatchPerNodeRecursionBitwise) {
   }
 }
 
+TEST(FusedPrefixPassTest, MatchSinglePassesBitwise) {
+  // DiagJlPrefixPass and DiagOnesPrefixPass must write exactly the bits
+  // of the single passes run in turn: X, O, the row map and every Y row
+  // a node reads. Weighted conductances exercise the signed 1/w
+  // coefficient; a duplicated root exercises the deduplicated root
+  // prefix of the BFS order.
+  const Graph unit = BarabasiAlbert(300, 3, 8);
+  for (const Graph& g : {unit, AssignUniformWeights(unit, 0.5, 2.0, 7)}) {
+    const int w = 7;
+    const TreeScaffold scaffold = MakeTreeScaffold(g, {0, 7, 0});
+    const JlSketch sketch(w, g.num_nodes(), 12);
+    ForestSampler sampler(g);
+    Rng rng(13);
+    const std::size_t n = static_cast<std::size_t>(g.num_nodes());
+    std::vector<int32_t> sizes;
+    std::vector<double> sub(n * w), x1(n), x2(n), x3(n), o1(n), o2(n);
+    std::vector<double> y1(n * w), y2(n * w);
+    std::vector<NodeId> rows1(n), rows2(n);
+    for (int i = 0; i < 20; ++i) {
+      const RootedForest& f = sampler.Sample(scaffold.is_root, &rng);
+      SubtreeSizes(f, &sizes);
+      SubtreeJlSums(f, scaffold.is_root, sketch, sub.data());
+      DiagPrefixPass(scaffold, f, &x1);
+      OnesPrefixPass(scaffold, f, sizes, &o1);
+      JlPrefixPass(scaffold, f, sub.data(), w, y1.data(), rows1.data());
+      DiagJlPrefixPass(scaffold, f, sub.data(), w, &x2, y2.data(),
+                       rows2.data());
+      DiagOnesPrefixPass(scaffold, f, sizes, &x3, &o2);
+      EXPECT_EQ(std::memcmp(x1.data(), x2.data(), sizeof(double) * n), 0);
+      EXPECT_EQ(std::memcmp(x1.data(), x3.data(), sizeof(double) * n), 0);
+      EXPECT_EQ(std::memcmp(o1.data(), o2.data(), sizeof(double) * n), 0);
+      EXPECT_EQ(rows1, rows2);
+      for (std::size_t u = 0; u < n; ++u) {
+        const std::size_t row = static_cast<std::size_t>(rows1[u]) * w;
+        EXPECT_EQ(std::memcmp(y1.data() + row, y2.data() + row,
+                              sizeof(double) * w),
+                  0)
+            << "u=" << u;
+      }
+    }
+  }
+}
+
 TEST(PhiEdgeIdentityTest, EdgeOrientationIdentityHoldsExactly) {
   // Pr[pi_a = b] - Pr[pi_b = a] = (L^{-1})_aa - (L^{-1})_bb, validated on
   // the triangle by exhaustive enumeration of its 3 spanning trees

@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "linalg/laplacian.h"
 #include "linalg/schur_exact.h"
+#include "test_util.h"
 
 namespace cfcm {
 namespace {
@@ -96,6 +97,38 @@ TEST(WilsonTest, DeterministicGivenRngState) {
   const RootedForest& f2 = s2.Sample(roots, &r2);
   EXPECT_EQ(f1.parent, f2.parent);
   EXPECT_EQ(f1.leaves_first, f2.leaves_first);
+}
+
+// Bitwise pin of the sampler (DESIGN.md §3): 64 forests drawn from the
+// per-forest streams Rng(seed, f) the estimators use, hashed over every
+// output array and the walk length. A rewrite of the walk loop or of the
+// RNG must leave this digest unchanged.
+uint64_t SampleDigest(const Graph& g) {
+  ForestSampler sampler(g);
+  const auto roots = Mask(g.num_nodes(), {g.MaxDegreeNode(), 1, 2});
+  testing::Fnv1a h;
+  for (uint64_t f = 0; f < 64; ++f) {
+    Rng rng(31, f);
+    const RootedForest& forest = sampler.Sample(roots, &rng);
+    const std::int64_t steps = sampler.last_walk_steps();
+    h.Add(forest.parent);
+    h.Add(forest.leaves_first);
+    h.Add(forest.root_of);
+    h.Add(&steps, sizeof(steps));
+  }
+  return h.value();
+}
+
+TEST(WilsonTest, SampleDigestUnitWeights) {
+  const Graph g = BarabasiAlbert(1000, 4, 5);
+  const uint64_t digest = SampleDigest(g);
+  EXPECT_EQ(digest, 0xe98d4e2ee8e03763ULL) << std::hex << digest;
+}
+
+TEST(WilsonTest, SampleDigestWeighted) {
+  const Graph g = AssignUniformWeights(BarabasiAlbert(1000, 4, 5), 0.5, 2.0, 7);
+  const uint64_t digest = SampleDigest(g);
+  EXPECT_EQ(digest, 0x067b4328cc5d4151ULL) << std::hex << digest;
 }
 
 TEST(WilsonTest, TreeGraphHasUniqueForest) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/datasets.h"
+#include "obs/metrics.h"
 
 namespace cfcm {
 namespace {
@@ -182,6 +183,32 @@ TEST(McRuntimeTest, FloatingPointReductionIsThreadCountInvariant) {
         << "threads=" << threads << " value=" << value
         << " reference=" << reference;
   }
+}
+
+uint64_t CommitYieldsCounter() {
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().snapshot().counters) {
+    if (name == "runtime.commit_yields") return value;
+  }
+  ADD_FAILURE() << "runtime.commit_yields missing from the registry";
+  return 0;
+}
+
+TEST(McRuntimeTest, SingleWorkerPoolNeverYieldsInTheTurnstile) {
+  // A 1-worker pool runs every executor inline in slot order, so each
+  // forest's commit turn has come before it asks: no waits, no yields.
+  ThreadPool pool(1);
+  RecordingKernel kernel(10, 3);
+  kernel.set_shard_width(4);
+  McRunOptions options;
+  options.num_nodes = 10;
+  options.shard_nodes = 4;
+  const McRunStats stats = RunForestBatch(pool, options, 0, 64, kernel);
+  EXPECT_EQ(stats.commit_yields, 0);
+  // The first batch registers the counter; this one adds its zero.
+  const uint64_t before = CommitYieldsCounter();
+  RunForestBatch(pool, options, 64, 64, kernel);
+  EXPECT_EQ(CommitYieldsCounter(), before);
 }
 
 TEST(McRuntimeTest, ScratchSlotsCoverPoolPlusCaller) {

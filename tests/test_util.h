@@ -2,6 +2,8 @@
 #ifndef CFCM_TESTS_TEST_UTIL_H_
 #define CFCM_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,6 +25,26 @@ std::vector<NamedGraph> PropertyGraphPool();
 
 /// max_u |a[u] - b[u]|.
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b);
+
+/// 64-bit FNV-1a over raw bytes: the bitwise pins hash whole output
+/// buffers with it, so any changed bit changes the digest.
+class Fnv1a {
+ public:
+  void Add(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void Add(const std::vector<T>& v) {
+    Add(v.data(), v.size() * sizeof(T));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace cfcm::testing
 

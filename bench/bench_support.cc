@@ -155,7 +155,7 @@ CfcmOptions BenchOptions(double eps, uint64_t seed) {
   opts.seed = seed;
   opts.num_threads = 0;  // all cores
   // Bench-scale engineering knobs (DESIGN.md "Engineering constants"):
-  // the adaptive Bernstein exit still applies on top of these targets.
+  // every estimate samples exactly the forest target these resolve to.
   // Scaled for the 2-core offline host; quality-focused benches (Fig. 1,
   // Fig. 2) raise them explicitly.
   opts.forest_factor = 0.35;
@@ -182,10 +182,10 @@ std::string LatencyJson(const obs::LatencyHistogram::Snapshot& snapshot) {
 void PrintOptions(const CfcmOptions& options) {
   std::printf(
       "# options: eps=%.2f seed=%llu forest_factor=%.2f max_forests=%d "
-      "max_jl_rows=%d adaptive=%d\n",
+      "max_jl_rows=%d min_batch=%d\n",
       options.eps, static_cast<unsigned long long>(options.seed),
       options.forest_factor, options.max_forests, options.max_jl_rows,
-      options.adaptive ? 1 : 0);
+      options.min_batch);
 }
 
 }  // namespace cfcm::bench

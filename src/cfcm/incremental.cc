@@ -380,7 +380,6 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
   est.seed = state.final_seed;
   DeltaScope scope;
   scope.subset = &mask;
-  scope.allow_adaptive_exit = true;
   std::vector<char> replay;
   int committed_before = 0;
   const uint64_t salt = std::max<uint64_t>(state.epoch_salt, 1);
@@ -463,7 +462,6 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
                  (kSaltStep * salt);
     DeltaScope scope_b;
     scope_b.subset = &mask;
-    scope_b.allow_adaptive_exit = true;
     const DeltaEstimate b = ForestDelta(graph, roots, est_b, pool, scope_b);
     result.total_walk_steps += b.walk_steps;
     result.forests_per_iteration.push_back(b.forests);

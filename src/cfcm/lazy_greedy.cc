@@ -310,7 +310,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
         // force_all, a second escalation, or a predicted batch covering
         // most of the heap: refresh everything left. When that is the
         // whole candidate set the mask is dropped below and the call is
-        // the exhaustive path (adaptive exit included).
+        // the exhaustive path.
         want = heap.size();
       } else if (!fresh.empty()) {
         // First escalation after a failed survival test.
@@ -331,7 +331,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
       }
       // A batch covering every remaining candidate is the exhaustive
       // call itself; dropping the mask keeps it bitwise identical to
-      // the exhaustive path (including its all-node adaptive exit).
+      // the exhaustive path.
       const bool full_cover =
           fresh.empty() && heap.empty() &&
           batch.size() ==

@@ -23,7 +23,6 @@ EstimatorOptions ToEstimatorOptions(const CfcmOptions& options) {
   est.forest_factor = options.forest_factor;
   est.jl_rows = options.jl_rows;
   est.max_jl_rows = options.max_jl_rows;
-  est.adaptive = options.adaptive;
   return est;
 }
 

@@ -54,7 +54,6 @@ struct CfcmOptions {
   double forest_factor = 1.0;
   int jl_rows = 0;       ///< 0 = auto
   int max_jl_rows = 64;
-  bool adaptive = true;
 
   // -- SchurCFCM only.
   int t_size = 0;  ///< |T|; 0 = the |T*| = argmin {|T| - dmax(T)} rule

@@ -1,4 +1,4 @@
-// Monotonic (steady_clock) timing helpers used by benches, adaptive
+// Monotonic (steady_clock) timing helpers used by benches, forest
 // samplers, and the observability instrumentation. Nothing here reads
 // the wall clock — measurements must not move when NTP steps the clock.
 #ifndef CFCM_COMMON_TIMER_H_

@@ -14,9 +14,9 @@ namespace cfcm {
 double EmpiricalBernsteinHalfWidth(std::int64_t count, double sum,
                                    double sum_sq, double sup, double delta);
 
-/// Variance-only half-width sqrt(2 Xvar log(3/delta) / r): used where the
+/// Variance-only half-width sqrt(2 Xvar log(3/delta) / r), for where the
 /// theoretical sup (d^{tau+1}-type bounds) is astronomically loose and
-/// would disable the adaptive exit entirely; see DESIGN.md.
+/// would swamp the width; see DESIGN.md.
 double VarianceHalfWidth(std::int64_t count, double sum, double sum_sq,
                          double delta);
 

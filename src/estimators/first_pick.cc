@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 
-#include "estimators/bernstein.h"
 #include "estimators/phi_estimators.h"
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
@@ -18,7 +16,7 @@ namespace {
 
 // Alg. 3 lines 1-14 as a sampling-runtime kernel: per forest, the
 // diagonal and all-ones prefix passes; per node, v = X_f(u) - (2/n) O_f(u)
-// folded into first and second moments. One accumulator copy total —
+// folded into a running sum. One accumulator copy total —
 // the runtime's ordered shard commits make the sums thread-invariant.
 class FirstPickKernel final : public ForestKernel {
  public:
@@ -27,8 +25,7 @@ class FirstPickKernel final : public ForestKernel {
       : scaffold_(scaffold),
         seed_(options.seed),
         inv_n_(1.0 / static_cast<double>(graph.num_nodes())),
-        partial_sum_(static_cast<std::size_t>(graph.num_nodes()), 0.0),
-        partial_sum_sq_(static_cast<std::size_t>(graph.num_nodes()), 0.0) {
+        partial_sum_(static_cast<std::size_t>(graph.num_nodes()), 0.0) {
     scratch_.reserve(slots);
     for (std::size_t t = 0; t < slots; ++t) {
       scratch_.push_back(std::make_unique<Scratch>(graph));
@@ -48,21 +45,18 @@ class FirstPickKernel final : public ForestKernel {
   void Accumulate(std::size_t slot, NodeId begin, NodeId end) override {
     const Scratch& ws = *scratch_[slot];
     for (NodeId u = begin; u < end; ++u) {
-      const double v = ws.xbuf[u] - 2.0 * inv_n_ * ws.obuf[u];
-      partial_sum_[u] += v;
-      partial_sum_sq_[u] += v * v;
+      partial_sum_[u] += ws.xbuf[u] - 2.0 * inv_n_ * ws.obuf[u];
     }
   }
 
-  /// Folds the batch partials into the running sums and clears them
-  /// (the per-batch merge the Bernstein check runs against).
-  void MergeBatch(std::vector<double>* sum, std::vector<double>* sum_sq) {
+  /// Folds the batch partials into the running sum and clears them.
+  /// Merging at batch boundaries fixes the summation order, so the
+  /// min_batch doubling schedule is part of the result's bits.
+  void MergeBatch(std::vector<double>* sum) {
     for (std::size_t u = 0; u < partial_sum_.size(); ++u) {
       (*sum)[u] += partial_sum_[u];
-      (*sum_sq)[u] += partial_sum_sq_[u];
     }
     std::fill(partial_sum_.begin(), partial_sum_.end(), 0.0);
-    std::fill(partial_sum_sq_.begin(), partial_sum_sq_.end(), 0.0);
   }
 
  private:
@@ -84,7 +78,6 @@ class FirstPickKernel final : public ForestKernel {
   const double inv_n_;
   std::vector<std::unique_ptr<Scratch>> scratch_;
   std::vector<double> partial_sum_;
-  std::vector<double> partial_sum_sq_;
 };
 
 }  // namespace
@@ -100,14 +93,12 @@ FirstPickResult EstimateFirstPick(const Graph& graph,
   result.pivot = graph.MaxWeightedDegreeNode();
   const TreeScaffold scaffold = MakeTreeScaffold(graph, {result.pivot});
   const int target = ResolveTargetForests(options, n);
-  const double delta = ResolveBernsteinDelta(options, n);
 
   FirstPickKernel kernel(graph, scaffold, options, McScratchSlots(pool));
   McRunOptions run;
   run.num_nodes = n;
 
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> sum_sq(static_cast<std::size_t>(n), 0.0);
 
   int total = 0;
   int batch = std::max(1, options.min_batch);
@@ -116,40 +107,9 @@ FirstPickResult EstimateFirstPick(const Graph& graph,
     const McRunStats stats = RunForestBatch(
         pool, run, static_cast<uint64_t>(total), current, kernel);
     result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum, &sum_sq);
+    kernel.MergeBatch(&sum);
     total += current;
     batch = NextBatchSize(batch, target);
-
-    if (options.adaptive && total < target) {
-      // Selection-resolved stop: the best candidate's upper confidence
-      // bound lies below the runner-up's lower bound. (The paper's
-      // relative criterion is ill-posed here because x_u is a *shifted*
-      // diagonal that can be arbitrarily close to zero; resolving the
-      // argmin is what the first iteration actually needs.)
-      NodeId best = -1, second = -1;
-      for (NodeId u = 0; u < n; ++u) {
-        const double xu = sum[u] / total;
-        if (best == -1 || xu < sum[best] / total) {
-          second = best;
-          best = u;
-        } else if (second == -1 || xu < sum[second] / total) {
-          second = u;
-        }
-      }
-      if (best >= 0 && second >= 0) {
-        auto half_width = [&](NodeId u) {
-          const double sup = 3.0 * scaffold.resistance_depth[u];
-          return EmpiricalBernsteinHalfWidth(total, sum[u], sum_sq[u], sup,
-                                             delta);
-        };
-        const double hb = half_width(best);
-        const double hs = half_width(second);
-        if (sum[best] / total + hb <= sum[second] / total - hs) {
-          result.converged = true;
-          break;
-        }
-      }
-    }
   }
   result.forests = total;
 

@@ -19,7 +19,6 @@ struct FirstPickResult {
   std::vector<double> scores;  ///< x_u = estimate of L†_uu - L†_ss
   int forests = 0;
   std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
-  bool converged = false;  ///< adaptive criterion fired before the cap
 };
 
 /// \brief Estimates x_u = (L_{-s}^{-1})_uu - (2/n) 1^T L_{-s}^{-1} e_u for

@@ -60,61 +60,6 @@ DeltaEstimate ForestDelta(const Graph& graph,
   result.numerator.assign(static_cast<std::size_t>(n), 0.0);
   result.rel.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Evaluates point estimates and (optionally) the Bernstein stop rule.
-  // `fill_rel` additionally stores each node's relative half-width (the
-  // final assembly does; the per-batch stop checks skip the extra work
-  // once a node has failed the cap).
-  auto assemble_and_check = [&](int r, bool fill_rel) {
-    const double inv_r = 1.0 / static_cast<double>(r);
-    bool all_converged = options.adaptive;
-    const double rel_cap = options.eps / (1.0 + options.eps);
-    for (NodeId u = 0; u < n; ++u) {
-      if (scaffold.is_root[u]) {
-        result.delta[u] = result.z[u] = result.numerator[u] = 0.0;
-        continue;
-      }
-      if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
-      const double zu = sum_x[u] * inv_r;
-      double raw_num = 0;
-      const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
-      for (int j = 0; j < w; ++j) {
-        const double m = yu[j] * inv_r;
-        raw_num += m * m;
-      }
-      // Aggregate variance across sketch rows: sum_j Var(Y_j) = mean
-      // ||Y_f||^2 - ||mean Y||^2. Used both to debias the numerator and
-      // as the Bernstein variance proxy.
-      const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - raw_num);
-      // E[sum_j Ybar_j^2] = ||E Y||^2 + sum_j Var(Y_j)/r: subtract the
-      // plug-in bias (it scales with depth^2 and would systematically
-      // favor deep nodes on high-diameter graphs).
-      const double num =
-          r > 1 ? std::max(raw_num - v_tot / static_cast<double>(r - 1), 0.0)
-                : raw_num;
-      result.z[u] = zu;
-      result.numerator[u] = num;
-      // (L^{-1}_{-S})_uu >= 1/d_w(u) by the Neumann-series bound (paper
-      // Lemma 3.9; weighted degree = Laplacian diagonal); clamp the
-      // denominator so sampling noise cannot blow up the ratio.
-      const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      result.delta[u] = num / std::max(zu, z_floor);
-
-      if (all_converged || fill_rel) {
-        const double sup_x = 2.0 * scaffold.resistance_depth[u];
-        const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                      sup_x, delta_fail);
-        const double log_term = std::log(3.0 / delta_fail);
-        const double h_base = 2.0 * log_term * v_tot * inv_r;
-        const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-        const double rel =
-            h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
-        if (fill_rel) result.rel[u] = rel;
-        if (rel > rel_cap) all_converged = false;
-      }
-    }
-    return all_converged;
-  };
-
   int total = 0;
   int batch = std::max(1, options.min_batch);
   while (total < target) {
@@ -125,21 +70,51 @@ DeltaEstimate ForestDelta(const Graph& graph,
     kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
     total += current;
     batch = NextBatchSize(batch, target);
-
-    if (total >= target) break;
-    // Subset-restricted calls run the FULL fixed-target schedule: letting
-    // the stop rule fire on subset convergence alone would exit earlier
-    // than the equivalent full call, and the lazy selection layer needs
-    // subset estimates bitwise exchangeable with full-batch ones
-    // (DESIGN.md §13). The subset still skips the O(w) moment folds and
-    // assembly for excluded nodes.
-    if (options.adaptive && (subset == nullptr || scope.allow_adaptive_exit) &&
-        assemble_and_check(total, /*fill_rel=*/false)) {
-      result.converged = true;
-      break;
-    }
   }
-  assemble_and_check(total, /*fill_rel=*/true);
+
+  // Point estimates and each node's relative empirical-Bernstein
+  // half-width (Lemma 3.6) at the final forest count. The subset skips
+  // the O(w) assembly for excluded nodes.
+  const double inv_r = 1.0 / static_cast<double>(total);
+  const double log_term = std::log(3.0 / delta_fail);
+  for (NodeId u = 0; u < n; ++u) {
+    if (scaffold.is_root[u]) continue;  // stays 0
+    if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
+    const double zu = sum_x[u] * inv_r;
+    double raw_num = 0;
+    const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
+    for (int j = 0; j < w; ++j) {
+      const double m = yu[j] * inv_r;
+      raw_num += m * m;
+    }
+    // Aggregate variance across sketch rows: sum_j Var(Y_j) = mean
+    // ||Y_f||^2 - ||mean Y||^2. Used both to debias the numerator and
+    // as the Bernstein variance proxy.
+    const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - raw_num);
+    // E[sum_j Ybar_j^2] = ||E Y||^2 + sum_j Var(Y_j)/r: subtract the
+    // plug-in bias (it scales with depth^2 and would systematically
+    // favor deep nodes on high-diameter graphs).
+    const double num =
+        total > 1
+            ? std::max(raw_num - v_tot / static_cast<double>(total - 1), 0.0)
+            : raw_num;
+    result.z[u] = zu;
+    result.numerator[u] = num;
+    // (L^{-1}_{-S})_uu >= 1/d_w(u) by the Neumann-series bound (paper
+    // Lemma 3.9; weighted degree = Laplacian diagonal); clamp the
+    // denominator so sampling noise cannot blow up the ratio.
+    const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
+    result.delta[u] = num / std::max(zu, z_floor);
+
+    const double sup_x = 2.0 * scaffold.resistance_depth[u];
+    const double hz = EmpiricalBernsteinHalfWidth(total, sum_x[u],
+                                                  sum_sq_x[u], sup_x,
+                                                  delta_fail);
+    const double h_base = 2.0 * log_term * v_tot * inv_r;
+    const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
+    result.rel[u] =
+        h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
+  }
   result.forests = total;
   result.reused_forests = kernel.reused_forests();
   if (scope.arena != nullptr) scope.arena->Commit(total);

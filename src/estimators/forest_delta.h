@@ -28,19 +28,20 @@ struct DeltaEstimate {
   int reused_forests = 0;  ///< of `forests`, how many were arena replays
   int jl_rows = 0;
   std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
-  bool converged = false;  ///< Bernstein criterion fired before the cap
+  /// Always false: every estimate runs its fixed forest schedule. Kept
+  /// only because the benchmark ledger still reads it.
+  bool converged = false;
 };
 
 /// \brief Restricts one Delta estimation call to a candidate subset
 /// and/or wires in a forest arena (lazy-greedy re-scoring).
 ///
-/// With a subset mask, only nodes with mask[u] != 0 are estimated and
-/// only they feed the adaptive stop rule — the estimate prices the
-/// per-forest passes plus O(|subset| w) accumulation instead of O(n w)
-/// accumulation, and typically stops after far fewer forests because
-/// only the subset has to converge. delta/z/numerator stay 0 outside
-/// the subset. At equal forest counts, a subset node's values are
-/// bitwise identical to the unrestricted call's.
+/// With a subset mask, only nodes with mask[u] != 0 are estimated — the
+/// estimate prices the per-forest passes plus O(|subset| w)
+/// accumulation instead of O(n w) accumulation, over the same fixed
+/// forest schedule as the unrestricted call. delta/z/numerator/rel stay
+/// 0 outside the subset, and a subset node's values are bitwise
+/// identical to the unrestricted call's.
 struct DeltaScope {
   const std::vector<char>* subset = nullptr;  ///< size-n mask; null = all
   ForestArena* arena = nullptr;  ///< forest replay/retention; may be null
@@ -56,17 +57,12 @@ struct DeltaScope {
   /// and overwrite their slot. Requires `arena`.
   const std::vector<char>* replay_clean = nullptr;
   uint64_t resample_seed = 0;
-  /// Lets a *subset-restricted* call keep the adaptive Bernstein exit
-  /// (convergence judged over the subset only). Off by default because
-  /// the lazy layer needs subset estimates bitwise exchangeable with
-  /// full-schedule ones; the warm repair path opts in — its fresh
-  /// subset scores are only compared against each other (DESIGN.md §16).
-  bool allow_adaptive_exit = false;
 };
 
-/// \brief Runs Algorithm 2: samples rooted forests with root set
-/// `s_nodes`, maintains diagonal and JL-sketched flow estimators, and
-/// applies the empirical-Bernstein adaptive exit.
+/// \brief Runs Algorithm 2: samples the resolved target of rooted forests
+/// with root set `s_nodes` (in min_batch-doubling batches), maintains
+/// diagonal and JL-sketched flow estimators, and reports each node's
+/// final empirical-Bernstein width in `rel`.
 ///
 /// Requires a connected graph and a non-empty root set.
 DeltaEstimate ForestDelta(const Graph& graph,

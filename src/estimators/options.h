@@ -8,30 +8,31 @@
 
 namespace cfcm {
 
-/// \brief Knobs for adaptive forest sampling and JL sketching.
+/// \brief Knobs for forest sampling and JL sketching.
 ///
 /// The paper's closed-form sample bounds (Lemmas 3.9/4.5 and the JL bound
-/// of Lemma 3.4) are intentionally conservative; its experiments rely on
-/// the empirical-Bernstein early exit (Lemma 3.6). We expose the same
-/// structure: a target sample count scaling as eps^{-2} log n, an upper
-/// cap, and the adaptive stop. See DESIGN.md "Engineering constants".
+/// of Lemma 3.4) are intentionally conservative. Every estimate instead
+/// samples a fixed target scaling as eps^{-2} log n, capped at
+/// max_forests, in batches that start at min_batch and double; the
+/// empirical-Bernstein bound (Lemma 3.6) only sizes the final per-node
+/// widths the lazy selection layer reads. See DESIGN.md "Engineering
+/// constants".
 struct EstimatorOptions {
   double eps = 0.2;          ///< error parameter (paper's epsilon)
   uint64_t seed = 1;         ///< base seed; forest i uses stream (seed, i)
-  int min_batch = 32;        ///< first batch size (doubles each round)
+  int min_batch = 32;        ///< first batch size (doubles each batch)
   int max_forests = 1024;    ///< hard cap on sampled forests
   int target_forests = 0;    ///< 0 = derive: forest_factor * eps^-2 * log2 n
   double forest_factor = 1.0;
   int jl_rows = 0;           ///< 0 = derive: clamp(2 log2 n, 8, max_jl_rows)
   int max_jl_rows = 64;
   double bernstein_delta = 0.0;  ///< 0 = 1/n
-  bool adaptive = true;      ///< empirical-Bernstein early exit
 };
 
 /// Number of JL rows w actually used for an n-node graph.
 int ResolveJlRows(const EstimatorOptions& options, NodeId n);
 
-/// Number of forests to sample (before adaptive early exit).
+/// Number of forests every estimate samples.
 int ResolveTargetForests(const EstimatorOptions& options, NodeId n);
 
 /// Failure probability delta for Bernstein bounds.

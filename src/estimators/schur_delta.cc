@@ -83,14 +83,15 @@ class SchurKernel final : public JlForestKernel {
 // Inverts the estimated Schur complement, escalating a diagonal ridge if
 // sampling noise made it numerically indefinite.
 DenseMatrix InvertWithRidge(DenseMatrix schur, double* ridge_used) {
+  const int nt = schur.rows();
   double max_diag = 0;
-  for (int i = 0; i < schur.rows(); ++i) {
+  for (int i = 0; i < nt; ++i) {
     max_diag = std::max(max_diag, std::abs(schur(i, i)));
   }
   double ridge = 0;
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  for (int attempt = 0; attempt < 9; ++attempt) {
     DenseMatrix trial = schur;
-    for (int i = 0; i < trial.rows(); ++i) trial(i, i) += ridge;
+    for (int i = 0; i < nt; ++i) trial(i, i) += ridge;
     auto ldlt = LdltFactorization::Compute(trial);
     if (ldlt.ok()) {
       *ridge_used = ridge;
@@ -98,10 +99,21 @@ DenseMatrix InvertWithRidge(DenseMatrix schur, double* ridge_used) {
     }
     ridge = (ridge == 0) ? 1e-8 * std::max(1.0, max_diag) : ridge * 10.0;
   }
-  // Last resort: heavily damped inverse; flagged via ridge_used.
-  DenseMatrix trial = schur;
-  for (int i = 0; i < trial.rows(); ++i) trial(i, i) += ridge;
-  auto ldlt = LdltFactorization::Compute(trial);
+  // Last resort: few forests can leave the estimate indefinite even at a
+  // ridge of 0.1 max_diag. LDL^T reads the lower triangle, mirrored; a
+  // ridge past that matrix's largest Gershgorin excess makes it strictly
+  // diagonally dominant, hence positive definite, with every pivot at
+  // least the dominance margin. Flagged via ridge_used.
+  double excess = 0;
+  for (int i = 0; i < nt; ++i) {
+    double radius = 0;
+    for (int j = 0; j < i; ++j) radius += std::abs(schur(i, j));
+    for (int j = i + 1; j < nt; ++j) radius += std::abs(schur(j, i));
+    excess = std::max(excess, radius - schur(i, i));
+  }
+  ridge = excess + 0.1 * std::max(1.0, max_diag);
+  for (int i = 0; i < nt; ++i) schur(i, i) += ridge;
+  auto ldlt = LdltFactorization::Compute(schur);
   assert(ldlt.ok());
   *ridge_used = ridge;
   return ldlt->Inverse();
@@ -183,164 +195,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   result.numerator.assign(static_cast<std::size_t>(n), 0.0);
   result.rel.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Cheap adaptive criterion on the forest-sampled parts only (no Schur
-  // algebra): the sampled z and numerator under-estimate their corrected
-  // values, so the relative-error bound is conservative. Keeping the
-  // per-batch check free of the Eq. (11) assembly is what preserves
-  // SchurDelta's speed advantage over ForestDelta.
-  auto cheap_converged = [&](int r) {
-    const double inv_r = 1.0 / static_cast<double>(r);
-    const double rel_cap = options.eps / (1.0 + options.eps);
-    const double log_term = std::log(3.0 / delta_fail);
-    for (NodeId u = 0; u < n; ++u) {
-      if (scaffold.is_root[u]) continue;  // S and T checked via assembly
-      if (subset != nullptr && !(*subset)[u]) continue;
-      const double zu = sum_x[u] * inv_r;
-      const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
-      double num = 0;
-      for (int j = 0; j < w; ++j) {
-        const double mj = yu[j] * inv_r;
-        num += mj * mj;
-      }
-      const double sup_x = 2.0 * scaffold.resistance_depth[u];
-      const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                    sup_x, delta_fail);
-      const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - num);
-      const double h_base = 2.0 * log_term * v_tot * inv_r;
-      const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-      const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      const double rel =
-          h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
-      if (rel > rel_cap) return false;
-    }
-    return true;
-  };
-
-  // Assembles the block reconstruction of Eq. (11) at sample count r and
-  // evaluates the adaptive criterion on the forest-sampled parts.
-  auto assemble_and_check = [&](int r) {
-    const double inv_r = 1.0 / static_cast<double>(r);
-
-    // Schur complement from rooted probabilities, Eq. (15):
-    // S~(i,j) = L(t_i,t_j) - sum_{u ~ t_i, u in U} w(t_i,u) F~(u, j).
-    DenseMatrix schur(nt, nt);
-    for (int i = 0; i < nt; ++i) {
-      const NodeId ti = t_nodes[i];
-      const auto adj = graph.neighbors(ti);
-      const auto wts = graph.weights(ti);
-      schur(i, i) = graph.weighted_degree(ti);
-      for (std::size_t k = 0; k < adj.size(); ++k) {
-        const int j = t_index[adj[k]];
-        if (j >= 0) schur(i, j) = wts.empty() ? -1.0 : -wts[k];
-      }
-      for (std::size_t k = 0; k < adj.size(); ++k) {
-        const NodeId u = adj[k];
-        if (scaffold.is_root[u]) continue;  // only u in U contribute
-        const double w_tu = wts.empty() ? 1.0 : wts[k];
-        const uint32_t* row = counts.data() + static_cast<std::size_t>(u) * nt;
-        for (int j = 0; j < nt; ++j) {
-          schur(i, j) -= w_tu * (static_cast<double>(row[j]) * inv_r);
-        }
-      }
-    }
-    const DenseMatrix g = InvertWithRidge(std::move(schur), &result.ridge);
-
-    // M = (W F~ + Q) G  in R^{w x |T|}.
-    DenseMatrix wfq(w, nt);
-    for (int j = 0; j < w; ++j) {
-      for (int t = 0; t < nt; ++t) {
-        wfq(j, t) = sum_wf[static_cast<std::size_t>(j) * nt + t] * inv_r +
-                    q[static_cast<std::size_t>(j) * nt + t];
-      }
-    }
-    const DenseMatrix m = wfq.Multiply(g);
-
-    bool all_converged = options.adaptive;
-    const double rel_cap = options.eps / (1.0 + options.eps);
-    std::vector<int> nz;
-    nz.reserve(static_cast<std::size_t>(nt));
-    std::vector<double> ycorr(static_cast<std::size_t>(w));
-    for (NodeId u = 0; u < n; ++u) {
-      if (in_s[u]) {
-        result.delta[u] = result.z[u] = result.numerator[u] = 0.0;
-        continue;
-      }
-      if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
-      const int tu = t_index[u];
-      double zu = 0, num = 0;
-      if (tu >= 0) {
-        // u in T: column t of L^{-1}_{-S} is [F G e_t ; G e_t] (Eq. 11).
-        zu = g(tu, tu);
-        for (int j = 0; j < w; ++j) num += m(j, tu) * m(j, tu);
-        result.z[u] = zu;
-        result.numerator[u] = num;
-        result.delta[u] = num / std::max(zu, 1e-12);
-        continue;
-      }
-      // u in U: z_u = (L^{-1}_UU)_uu + f_u^T G f_u,
-      //         Y_j(u) = Phi_{W_j}(u) + (M f_u)_j, with f_u = counts/r.
-      const uint32_t* row = counts.data() + static_cast<std::size_t>(u) * nt;
-      nz.clear();
-      for (int t = 0; t < nt; ++t) {
-        if (row[t] != 0) nz.push_back(t);
-      }
-      double corr_z = 0;
-      for (int a : nz) {
-        const double fa = static_cast<double>(row[a]) * inv_r;
-        for (int b : nz) {
-          corr_z += fa * static_cast<double>(row[b]) * inv_r * g(a, b);
-        }
-      }
-      zu = sum_x[u] * inv_r + corr_z;
-      std::fill(ycorr.begin(), ycorr.end(), 0.0);
-      for (int a : nz) {
-        const double fa = static_cast<double>(row[a]) * inv_r;
-        for (int j = 0; j < w; ++j) ycorr[j] += m(j, a) * fa;
-      }
-      const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
-      double mean_sq = 0;
-      for (int j = 0; j < w; ++j) {
-        const double mj = yu[j] * inv_r;
-        mean_sq += mj * mj;
-        const double v = mj + ycorr[j];
-        num += v * v;
-      }
-      // Debias the sampled part of the squared norm (see ForestDelta):
-      // E[sum_j Ybar_j^2] exceeds ||E Y||^2 by sum_j Var(Y_j)/r.
-      const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - mean_sq);
-      if (r > 1) {
-        num = std::max(num - v_tot / static_cast<double>(r - 1), 0.0);
-      }
-      result.z[u] = zu;
-      result.numerator[u] = num;
-      const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      result.delta[u] = num / std::max(zu, z_floor);
-
-      {
-        const double sup_x = 2.0 * scaffold.resistance_depth[u];
-        const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                      sup_x, delta_fail);
-        const double log_term = std::log(3.0 / delta_fail);
-        const double h_base = 2.0 * log_term * v_tot * inv_r;
-        const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-        const double rel =
-            h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
-        result.rel[u] = rel;
-        if (rel > rel_cap) all_converged = false;
-      }
-    }
-    // T nodes carry no Bernstein stream of their own (their values come
-    // out of the Schur algebra); give them the widest U width so the
-    // lazy layer never under-inflates a T candidate's stale key.
-    double max_rel = 0.0;
-    for (NodeId u = 0; u < n; ++u) max_rel = std::max(max_rel, result.rel[u]);
-    for (NodeId t : t_nodes) {
-      if (subset != nullptr && !(*subset)[t]) continue;
-      result.rel[t] = max_rel;
-    }
-    return all_converged;
-  };
-
   int total = 0;
   int batch = std::max(1, options.min_batch);
   while (total < target) {
@@ -352,17 +206,125 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
     kernel.MergeSchurBatch(&counts, &sum_wf);
     total += current;
     batch = NextBatchSize(batch, target);
+  }
 
-    if (total >= target) break;
-    // Subset-restricted calls run the full fixed-target schedule so the
-    // estimates stay bitwise exchangeable with a full call's (see
-    // ForestDelta; DESIGN.md §13).
-    if (options.adaptive && subset == nullptr && cheap_converged(total)) {
-      result.converged = true;
-      break;
+  // Block reconstruction of Eq. (11) at the final sample count r, and
+  // each node's relative empirical-Bernstein width on the forest-sampled
+  // parts.
+  const double inv_r = 1.0 / static_cast<double>(total);
+  const double log_term = std::log(3.0 / delta_fail);
+
+  // Schur complement from rooted probabilities, Eq. (15):
+  // S~(i,j) = L(t_i,t_j) - sum_{u ~ t_i, u in U} w(t_i,u) F~(u, j).
+  DenseMatrix schur(nt, nt);
+  for (int i = 0; i < nt; ++i) {
+    const NodeId ti = t_nodes[i];
+    const auto adj = graph.neighbors(ti);
+    const auto wts = graph.weights(ti);
+    schur(i, i) = graph.weighted_degree(ti);
+    for (std::size_t k = 0; k < adj.size(); ++k) {
+      const int j = t_index[adj[k]];
+      if (j >= 0) schur(i, j) = wts.empty() ? -1.0 : -wts[k];
+    }
+    for (std::size_t k = 0; k < adj.size(); ++k) {
+      const NodeId u = adj[k];
+      if (scaffold.is_root[u]) continue;  // only u in U contribute
+      const double w_tu = wts.empty() ? 1.0 : wts[k];
+      const uint32_t* row = counts.data() + static_cast<std::size_t>(u) * nt;
+      for (int j = 0; j < nt; ++j) {
+        schur(i, j) -= w_tu * (static_cast<double>(row[j]) * inv_r);
+      }
     }
   }
-  assemble_and_check(total);
+  const DenseMatrix g = InvertWithRidge(std::move(schur), &result.ridge);
+
+  // M = (W F~ + Q) G  in R^{w x |T|}.
+  DenseMatrix wfq(w, nt);
+  for (int j = 0; j < w; ++j) {
+    for (int t = 0; t < nt; ++t) {
+      wfq(j, t) = sum_wf[static_cast<std::size_t>(j) * nt + t] * inv_r +
+                  q[static_cast<std::size_t>(j) * nt + t];
+    }
+  }
+  const DenseMatrix m = wfq.Multiply(g);
+
+  std::vector<int> nz;
+  nz.reserve(static_cast<std::size_t>(nt));
+  std::vector<double> ycorr(static_cast<std::size_t>(w));
+  for (NodeId u = 0; u < n; ++u) {
+    if (in_s[u]) {
+      result.delta[u] = result.z[u] = result.numerator[u] = 0.0;
+      continue;
+    }
+    if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
+    const int tu = t_index[u];
+    double zu = 0, num = 0;
+    if (tu >= 0) {
+      // u in T: column t of L^{-1}_{-S} is [F G e_t ; G e_t] (Eq. 11).
+      zu = g(tu, tu);
+      for (int j = 0; j < w; ++j) num += m(j, tu) * m(j, tu);
+      result.z[u] = zu;
+      result.numerator[u] = num;
+      result.delta[u] = num / std::max(zu, 1e-12);
+      continue;
+    }
+    // u in U: z_u = (L^{-1}_UU)_uu + f_u^T G f_u,
+    //         Y_j(u) = Phi_{W_j}(u) + (M f_u)_j, with f_u = counts/r.
+    const uint32_t* row = counts.data() + static_cast<std::size_t>(u) * nt;
+    nz.clear();
+    for (int t = 0; t < nt; ++t) {
+      if (row[t] != 0) nz.push_back(t);
+    }
+    double corr_z = 0;
+    for (int a : nz) {
+      const double fa = static_cast<double>(row[a]) * inv_r;
+      for (int b : nz) {
+        corr_z += fa * static_cast<double>(row[b]) * inv_r * g(a, b);
+      }
+    }
+    zu = sum_x[u] * inv_r + corr_z;
+    std::fill(ycorr.begin(), ycorr.end(), 0.0);
+    for (int a : nz) {
+      const double fa = static_cast<double>(row[a]) * inv_r;
+      for (int j = 0; j < w; ++j) ycorr[j] += m(j, a) * fa;
+    }
+    const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
+    double mean_sq = 0;
+    for (int j = 0; j < w; ++j) {
+      const double mj = yu[j] * inv_r;
+      mean_sq += mj * mj;
+      const double v = mj + ycorr[j];
+      num += v * v;
+    }
+    // Debias the sampled part of the squared norm (see ForestDelta):
+    // E[sum_j Ybar_j^2] exceeds ||E Y||^2 by sum_j Var(Y_j)/r.
+    const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - mean_sq);
+    if (total > 1) {
+      num = std::max(num - v_tot / static_cast<double>(total - 1), 0.0);
+    }
+    result.z[u] = zu;
+    result.numerator[u] = num;
+    const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
+    result.delta[u] = num / std::max(zu, z_floor);
+
+    const double sup_x = 2.0 * scaffold.resistance_depth[u];
+    const double hz = EmpiricalBernsteinHalfWidth(total, sum_x[u],
+                                                  sum_sq_x[u], sup_x,
+                                                  delta_fail);
+    const double h_base = 2.0 * log_term * v_tot * inv_r;
+    const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
+    result.rel[u] =
+        h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
+  }
+  // T nodes carry no Bernstein stream of their own (their values come
+  // out of the Schur algebra); give them the widest U width so the
+  // lazy layer never under-inflates a T candidate's stale key.
+  double max_rel = 0.0;
+  for (NodeId u = 0; u < n; ++u) max_rel = std::max(max_rel, result.rel[u]);
+  for (NodeId t : t_nodes) {
+    if (subset != nullptr && !(*subset)[t]) continue;
+    result.rel[t] = max_rel;
+  }
   result.forests = total;
   result.reused_forests = kernel.reused_forests();
   if (scope.arena != nullptr) scope.arena->Commit(total);

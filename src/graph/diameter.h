@@ -15,7 +15,8 @@ NodeId ExactDiameter(const Graph& graph);
 /// Runs `sweeps` rounds of BFS(farthest-node) ping-pong starting from the
 /// max-degree node. On real-world graphs the bound is typically exact or
 /// off by one; estimator sample bounds only need the right order of
-/// magnitude (the adaptive Bernstein rule governs actual sample counts).
+/// magnitude (actual sample counts follow the eps^-2 log n forest
+/// target, not a diameter bound).
 NodeId EstimateDiameter(const Graph& graph, int sweeps = 4);
 
 }  // namespace cfcm

@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
+#include <array>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -204,45 +206,27 @@ OpMetrics ResolveOpMetrics(const char* op) {
                    &registry.histogram(prefix + ".latency_us")};
 }
 
+// The ops with their own serve.<op>.* series; anything else (including
+// unknown ops) is counted under serve.other.*.
+constexpr const char* kMeteredOps[] = {
+    "load",    "unload", "solve",   "evaluate", "mutate",
+    "augment", "stats",  "metrics", "flightz",  "shutdown",
+};
+constexpr std::size_t kNumMeteredOps = std::size(kMeteredOps);
+
 const OpMetrics& MetricsFor(const std::string& op) {
-  if (op == "solve") {
-    static const OpMetrics m = ResolveOpMetrics("solve");
-    return m;
-  }
-  if (op == "evaluate") {
-    static const OpMetrics m = ResolveOpMetrics("evaluate");
-    return m;
-  }
-  if (op == "mutate") {
-    static const OpMetrics m = ResolveOpMetrics("mutate");
-    return m;
-  }
-  if (op == "augment") {
-    static const OpMetrics m = ResolveOpMetrics("augment");
-    return m;
-  }
-  if (op == "load") {
-    static const OpMetrics m = ResolveOpMetrics("load");
-    return m;
-  }
-  if (op == "unload") {
-    static const OpMetrics m = ResolveOpMetrics("unload");
-    return m;
-  }
-  if (op == "stats") {
-    static const OpMetrics m = ResolveOpMetrics("stats");
-    return m;
-  }
-  if (op == "metrics") {
-    static const OpMetrics m = ResolveOpMetrics("metrics");
-    return m;
-  }
-  if (op == "shutdown") {
-    static const OpMetrics m = ResolveOpMetrics("shutdown");
-    return m;
-  }
-  static const OpMetrics m = ResolveOpMetrics("other");
-  return m;
+  // Slot kNumMeteredOps holds serve.other.*.
+  static const std::array<OpMetrics, kNumMeteredOps + 1> table = [] {
+    std::array<OpMetrics, kNumMeteredOps + 1> resolved{};
+    for (std::size_t i = 0; i < kNumMeteredOps; ++i) {
+      resolved[i] = ResolveOpMetrics(kMeteredOps[i]);
+    }
+    resolved[kNumMeteredOps] = ResolveOpMetrics("other");
+    return resolved;
+  }();
+  std::size_t i = 0;
+  while (i < kNumMeteredOps && op != kMeteredOps[i]) ++i;
+  return table[i];
 }
 
 // {"count","mean_us","p50_us","p95_us","p99_us","max_us"} for the stats
@@ -1199,25 +1183,30 @@ JsonValue ServeHandler::HandleFlightz(const JsonValue& request) {
   StatusOr<int64_t> n = GetInt(request, "n", 64, 1, 4096);
   if (!n.ok()) return ErrorResponseFor(request, n.status());
 
+  JsonValue::Object fields =
+      FlightzJson(*flight_, static_cast<std::size_t>(*n));
+  fields["op"] = "flightz";
+  return OkResponse(std::move(fields));
+}
+
+JsonValue::Object FlightzJson(const obs::FlightRecorder& flight,
+                              std::size_t n) {
   JsonValue::Array records;
-  for (const obs::FlightRecord& record :
-       flight_->Recent(static_cast<std::size_t>(*n))) {
+  for (const obs::FlightRecord& record : flight.Recent(n)) {
     records.push_back(FlightRecordJson(record));
   }
   JsonValue::Array pinned;
-  for (const obs::FlightRecord& record :
-       flight_->Pinned(static_cast<std::size_t>(*n))) {
+  for (const obs::FlightRecord& record : flight.Pinned(n)) {
     pinned.push_back(FlightRecordJson(record));
   }
-  return OkResponse({
-      {"op", "flightz"},
-      {"committed", flight_->committed()},
-      {"capacity", static_cast<int64_t>(flight_->options().capacity)},
+  return JsonValue::Object{
+      {"committed", flight.committed()},
+      {"capacity", static_cast<int64_t>(flight.options().capacity)},
       {"pinned_capacity",
-       static_cast<int64_t>(flight_->options().pinned_capacity)},
+       static_cast<int64_t>(flight.options().pinned_capacity)},
       {"records", JsonValue(std::move(records))},
       {"pinned", JsonValue(std::move(pinned))},
-  });
+  };
 }
 
 JsonValue FlightRecordJson(const obs::FlightRecord& record) {

@@ -209,6 +209,13 @@ class ServeHandler {
 /// the admin plane's /flightz endpoint, and the daemon's SIGTERM dump.
 JsonValue FlightRecordJson(const obs::FlightRecord& record);
 
+/// The flight recorder dump {"committed","capacity","pinned_capacity",
+/// "records","pinned"} with the newest `n` records of each ring: the
+/// body of the admin plane's /flightz page, and of the flightz op's
+/// response (which adds "op" and "status").
+JsonValue::Object FlightzJson(const obs::FlightRecorder& flight,
+                              std::size_t n);
+
 }  // namespace cfcm::serve
 
 #endif  // CFCM_SERVE_PROTOCOL_H_

@@ -46,7 +46,6 @@ TEST(TopCfccEstimatedTest, AgreesWithExactOnTopPicks) {
   CfcmOptions opts;
   opts.seed = 13;
   opts.max_forests = 4096;
-  opts.adaptive = false;
   const auto est = TopCfccSelectEstimated(g, 3, opts);
   const auto exact = TopCfccSelectExact(g, 3);
   // The top-3 sets should coincide (order may differ on near-ties).

@@ -8,7 +8,6 @@ namespace {
 TEST(CfcmOptionsTest, DefaultsMatchPaperSettings) {
   const CfcmOptions opts;
   EXPECT_DOUBLE_EQ(opts.eps, 0.2);  // the paper's headline epsilon
-  EXPECT_TRUE(opts.adaptive);
   EXPECT_EQ(opts.t_size, 0);  // |T*| rule by default
 }
 
@@ -21,7 +20,6 @@ TEST(CfcmOptionsTest, LoweringPreservesSamplingKnobs) {
   opts.forest_factor = 2.5;
   opts.jl_rows = 33;
   opts.max_jl_rows = 50;
-  opts.adaptive = false;
 
   const EstimatorOptions est = ToEstimatorOptions(opts);
   EXPECT_DOUBLE_EQ(est.eps, 0.31);
@@ -31,7 +29,6 @@ TEST(CfcmOptionsTest, LoweringPreservesSamplingKnobs) {
   EXPECT_DOUBLE_EQ(est.forest_factor, 2.5);
   EXPECT_EQ(est.jl_rows, 33);
   EXPECT_EQ(est.max_jl_rows, 50);
-  EXPECT_FALSE(est.adaptive);
 }
 
 TEST(CfcmOptionsTest, ResolvedValuesUseLoweredKnobs) {

@@ -16,7 +16,6 @@ EstimatorOptions TestOptions(int max_forests = 4096) {
   opts.seed = 11;
   opts.max_forests = max_forests;
   opts.target_forests = max_forests;
-  opts.adaptive = false;
   return opts;
 }
 
@@ -84,23 +83,6 @@ TEST(FirstPickTest, DeterministicAcrossThreadCounts) {
   for (std::size_t u = 0; u < a.scores.size(); ++u) {
     EXPECT_NEAR(a.scores[u], b.scores[u], 1e-9 * (1.0 + std::abs(a.scores[u])));
   }
-}
-
-TEST(FirstPickTest, AdaptiveStopsEarlyOnEasyInstance) {
-  // On a star the hub is overwhelmingly better; the selection-resolved
-  // criterion should fire long before the cap.
-  const Graph g = StarGraph(50);
-  EstimatorOptions opts;
-  opts.seed = 3;
-  opts.min_batch = 32;
-  opts.max_forests = 1 << 14;
-  opts.target_forests = 1 << 14;
-  opts.adaptive = true;
-  ThreadPool pool(2);
-  const FirstPickResult result = EstimateFirstPick(g, opts, pool);
-  EXPECT_EQ(result.best, 0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(result.forests, 1 << 14);
 }
 
 }  // namespace

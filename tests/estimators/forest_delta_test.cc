@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/datasets.h"
-#include "graph/generators.h"
 #include "linalg/laplacian.h"
 
 namespace cfcm {
@@ -17,7 +16,6 @@ EstimatorOptions TestOptions(int forests, int jl_rows = 0) {
   opts.max_forests = forests;
   opts.target_forests = forests;
   opts.jl_rows = jl_rows;
-  opts.adaptive = false;
   return opts;
 }
 
@@ -118,25 +116,7 @@ TEST(ForestDeltaTest, ReportsConfiguration) {
   const DeltaEstimate est = ForestDelta(g, {0}, TestOptions(64, 12), pool);
   EXPECT_EQ(est.jl_rows, 12);
   EXPECT_EQ(est.forests, 64);
-  EXPECT_FALSE(est.converged);  // adaptive disabled
-}
-
-TEST(ForestDeltaTest, AdaptiveModeCanStopBeforeCap) {
-  const Graph g = StarGraph(64);
-  EstimatorOptions opts;
-  opts.seed = 5;
-  opts.eps = 0.3;
-  opts.min_batch = 64;
-  opts.max_forests = 1 << 14;
-  opts.target_forests = 1 << 14;
-  opts.jl_rows = 16;
-  opts.adaptive = true;
-  ThreadPool pool(2);
-  const DeltaEstimate est = ForestDelta(g, {0}, opts, pool);
-  // On a star with the hub grounded, every leaf has (L^{-1})_uu = 1 with
-  // zero variance: the Bernstein rule must fire quickly.
-  EXPECT_TRUE(est.converged);
-  EXPECT_LT(est.forests, 1 << 14);
+  EXPECT_FALSE(est.converged);  // fixed schedule: never set
 }
 
 }  // namespace

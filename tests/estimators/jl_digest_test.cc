@@ -58,8 +58,8 @@ const Graph& WeightedBa4000() {
   return *g;
 }
 
-// The solve_large setting: eps 0.3 with the adaptive exit on, so the
-// pinned forest count also covers the Bernstein stop rule.
+// The solve_large setting: eps 0.3 on the derived forest target, so the
+// pinned forest count also covers ResolveTargetForests.
 EstimatorOptions PinOptions(int jl_rows) {
   EstimatorOptions opts;
   opts.eps = 0.3;

@@ -17,7 +17,6 @@ EstimatorOptions TestOptions(int forests, int jl_rows = 0) {
   opts.max_forests = forests;
   opts.target_forests = forests;
   opts.jl_rows = jl_rows;
-  opts.adaptive = false;
   return opts;
 }
 
@@ -135,6 +134,29 @@ TEST(SchurDeltaTest, NoRidgeNeededAtReasonableSampleCounts) {
   const SchurDeltaEstimate est =
       SchurDelta(g, {5}, {33, 0}, TestOptions(1024, 8), pool);
   EXPECT_EQ(est.ridge, 0.0);
+}
+
+// A round of the lazy SchurCFCM solve of grid:40x40 (k=8, eps=0.5,
+// seed 1): its 32 forests leave an estimated Schur complement so far
+// from positive definite that even a ridge of 0.1 max_diag does not
+// factor it. The Gershgorin fallback must still return a usable inverse.
+TEST(SchurDeltaTest, IndefiniteEstimateFallsBackToDominantRidge) {
+  const Graph g = GridGraph(40, 40);
+  EstimatorOptions opts;
+  opts.eps = 0.5;
+  opts.seed = 15926614615ULL;
+  opts.target_forests = 32;
+  ThreadPool pool(2);
+  const SchurDeltaEstimate est =
+      SchurDelta(g, {1408, 433, 703, 690, 257, 1264},
+                 {1558, 1556, 1554, 1552}, opts, pool);
+  ASSERT_EQ(est.forests, 32);
+  EXPECT_GT(est.ridge, 0.1 * 2.28125);  // past the escalation ladder
+  for (NodeId t : {1558, 1556, 1554, 1552}) EXPECT_GT(est.z[t], 0.0);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_TRUE(std::isfinite(est.delta[u])) << u;
+    EXPECT_TRUE(std::isfinite(est.z[u])) << u;
+  }
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ EstimatorOptions EstOptions(uint64_t seed) {
   opts.max_forests = 256;
   opts.target_forests = 256;
   opts.jl_rows = 12;
-  opts.adaptive = false;
   return opts;
 }
 
@@ -86,8 +85,8 @@ TEST_P(ThreadInvarianceTest, SchurDeltaBitwiseMatchesSingleThread) {
   }
 }
 
-// Full-solver invariance, including the adaptive Bernstein exits (the
-// per-iteration forest counts pin the convergence decisions too).
+// Full-solver invariance, including the lazy selection decisions (the
+// per-iteration forest counts pin the re-score schedule too).
 void ExpectSolverInvariant(
     const Graph& g, int k,
     StatusOr<CfcmResult> (*solve)(const Graph&, int, const CfcmOptions&)) {

@@ -217,6 +217,37 @@ TEST(AdminPlaneTest, FlightzServesRecentAndPinnedRecords) {
   EXPECT_FALSE(parsed->Find("pinned")->array().empty()) << Body(response);
 }
 
+TEST(AdminPlaneTest, FlightzPageMatchesFlightzOp) {
+  HandlerOptions handler_options;
+  handler_options.flight_slow_us = 1;  // pinned ring non-empty too
+  AdminFixture fixture{handler_options};
+  auto client = ServeClient::Connect("127.0.0.1", fixture.server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      client->SendLine(R"({"op":"load","graph":"g","source":"karate"})").ok());
+  ASSERT_TRUE(client->ReadLine().ok());
+  ASSERT_TRUE(client->SendLine(R"({"op":"solve","graph":"g","k":2})").ok());
+  ASSERT_TRUE(client->ReadLine().ok());
+
+  // The page first: the flightz op records itself only after building
+  // its response, so both see the same two records.
+  const std::string page =
+      Body(HttpGet(fixture.server.admin_port(), "/flightz?n=8"));
+  ASSERT_TRUE(client->SendLine(R"({"op":"flightz","n":8})").ok());
+  StatusOr<std::string> line = client->ReadLine();
+  ASSERT_TRUE(line.ok());
+  StatusOr<JsonValue> op = JsonValue::Parse(*line);
+  ASSERT_TRUE(op.ok()) << *line;
+  ASSERT_EQ(op->Find("status")->as_string(), "ok") << *line;
+
+  // Same dump, minus the protocol envelope.
+  JsonValue::Object fields = op->object();
+  fields.erase("op");
+  fields.erase("status");
+  EXPECT_EQ(page, JsonValue(std::move(fields)).Serialize() + "\n");
+  EXPECT_EQ(JsonValue::Parse(page)->Find("records")->array().size(), 2u);
+}
+
 TEST(AdminPlaneTest, UnknownPathAndNonGetAreRejected) {
   AdminFixture fixture;
   const std::string missing =

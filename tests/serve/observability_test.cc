@@ -85,6 +85,33 @@ TEST(ObservabilityTest, MetricsOpCountsSolveRequests) {
   EXPECT_GT(IntField(*counters, "runtime.walk_steps"), 0);
 }
 
+TEST(ObservabilityTest, FlightzRequestsHaveTheirOwnSeries) {
+  ServeHandler handler{{}};
+  const JsonValue before = Call(handler, R"({"op":"metrics"})");
+  ASSERT_EQ(StrField(before, "status"), "ok");
+  const JsonValue& counters_before = *before.Find("counters");
+  const int64_t flightz_before =
+      CounterOrZero(counters_before, "serve.flightz.requests");
+  const int64_t other_before =
+      CounterOrZero(counters_before, "serve.other.requests");
+
+  ASSERT_EQ(StrField(Call(handler, R"({"op":"flightz","n":4})"), "status"),
+            "ok");
+
+  const JsonValue after = Call(handler, R"({"op":"metrics"})");
+  const JsonValue& counters_after = *after.Find("counters");
+  EXPECT_EQ(CounterOrZero(counters_after, "serve.flightz.requests"),
+            flightz_before + 1);
+  EXPECT_EQ(CounterOrZero(counters_after, "serve.other.requests"),
+            other_before);
+  // An unknown op still lands in serve.other.*.
+  EXPECT_EQ(StrField(Call(handler, R"({"op":"no-such-op"})"), "status"),
+            "error");
+  const JsonValue last = Call(handler, R"({"op":"metrics"})");
+  EXPECT_EQ(CounterOrZero(*last.Find("counters"), "serve.other.requests"),
+            other_before + 1);
+}
+
 TEST(ObservabilityTest, MetricsOpPrometheusFormat) {
   ServeHandler handler{{}};
   LoadKarate(handler, "m2");

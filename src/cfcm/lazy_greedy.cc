@@ -77,8 +77,12 @@ LazyHeapEntry LazyHeap::Pop() {
 
 // ------------------------------------------------------------------ driver
 
-void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
-                             std::int64_t reused) {
+namespace {
+
+// Records the engine.selection.{rescored_candidates,heap_pops,
+// forests_reused} process counters of one selection, in either mode, so
+// --trace and the metrics endpoint can compare their work directly.
+void RecordSelectionCounters(const CfcmResult& result) {
   static obs::Counter* const rescored_total =
       &obs::MetricsRegistry::Global().counter(
           "engine.selection.rescored_candidates");
@@ -87,12 +91,10 @@ void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
   static obs::Counter* const reused_total =
       &obs::MetricsRegistry::Global().counter(
           "engine.selection.forests_reused");
-  rescored_total->Add(static_cast<uint64_t>(rescored));
-  pops_total->Add(static_cast<uint64_t>(pops));
-  reused_total->Add(static_cast<uint64_t>(reused));
+  rescored_total->Add(static_cast<uint64_t>(result.rescored_candidates));
+  pops_total->Add(static_cast<uint64_t>(result.heap_pops));
+  reused_total->Add(static_cast<uint64_t>(result.forests_reused));
 }
-
-namespace {
 
 // Stale candidates re-scored per refresh batch: the floor of the first
 // batch and the slack added to the frontier prediction.
@@ -195,7 +197,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       WarmCapture* capture) {
   CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
   const NodeId n = graph.num_nodes();
-  EstimatorOptions est = ToEstimatorOptions(options);
+  const bool exhaustive = options.selection == SelectionMode::kExhaustive;
 
   CfcmResult result;
   std::vector<char> in_s(static_cast<std::size_t>(n), 0);
@@ -206,19 +208,21 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
   // warm capture.
   double last_pick_gain = 0.0;
 
-  // Iteration 1: argmin of the pseudoinverse diagonal, identical to the
-  // exhaustive path. The full score vector seeds the heap (satellite of
-  // §13): -x_u orders candidates by first-round promise, and round 2
-  // refreshes them all in one call, so no extra estimator pass runs.
+  // Iteration 1 (Alg. 3/5 lines 1-14): argmin of the pseudoinverse
+  // diagonal. In lazy mode the full score vector seeds the heap (§13):
+  // -x_u orders candidates by first-round promise, and round 2 refreshes
+  // them all in one call, so no extra estimator pass runs. Exhaustive
+  // mode never seeds the heap, so the CELF machinery below is inert.
   {
-    const FirstPickResult first = EstimateFirstPick(graph, est, pool);
+    const FirstPickResult first =
+        EstimateFirstPick(graph, ToEstimatorOptions(options), pool);
     last_pick_gain = -first.scores[first.best];
     result.selected.push_back(first.best);
     in_s[first.best] = 1;
     result.forests_per_iteration.push_back(first.forests);
     result.total_forests += first.forests;
     result.total_walk_steps += first.walk_steps;
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u = 0; !exhaustive && u < n; ++u) {
       if (u != first.best) heap.Push(u, -first.scores[u], -first.scores[u], 0);
     }
   }
@@ -250,15 +254,43 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     const uint64_t seed_i =
         options.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL;
 
+    // The round's pick: larger gain first, ties to the lower node id.
+    double best_gain = -std::numeric_limits<double>::infinity();
+    NodeId best_id = -1;
+    auto consider = [&](NodeId id, double g) {
+      if (g > best_gain || (g == best_gain && id < best_id)) {
+        best_gain = g;
+        best_id = id;
+      }
+    };
+    // One estimator call of this round, with its work accounting.
+    int round_fresh_forests = 0;
+    auto score = [&](const DeltaScope& scope) {
+      DeltaEstimate d = delta_fn(result.selected, seed_i, scope);
+      result.jl_rows = d.jl_rows;
+      result.total_walk_steps += d.walk_steps;
+      result.forests_reused += d.reused_forests;
+      round_fresh_forests += d.forests - d.reused_forests;
+      return d;
+    };
+
+    // ---- Exhaustive round (Alg. 3/5 lines 15-18 verbatim): one
+    // unmasked, arena-free call scores every candidate and the full
+    // scan takes the argmax. The lazy tests compare against it.
+    if (exhaustive) {
+      const DeltaEstimate d = score(DeltaScope{});
+      result.rescored_candidates += n - i;
+      for (NodeId u = 0; u < n; ++u) {
+        if (!in_s[u]) consider(u, d.delta[u]);
+      }
+    }
+
     // ---- CELF refresh loop. Fresh gains leave the heap for the round
     // (tracked in `fresh`), so the heap top is always the best *stale*
     // key and the §13 survival test is a single comparison.
     fresh.clear();
-    double best_gain = -std::numeric_limits<double>::infinity();
-    NodeId best_id = -1;
     const bool force_all = (i == 1);  // round 2: heap keys are only
                                       // first-pick scores, refresh all
-    int round_fresh_forests = 0;
     decay = std::min(1.0, kDecayRelax * decay);
     std::vector<double> ratios;  // fresh/stale probes for CalibrateDecay
     // Batch floor: kLazyBatch or n/32, whichever is larger. A
@@ -343,12 +375,8 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
       // target; full-cover calls keep the full budget so the "refresh
       // everything" path stays the exhaustive call.
       if (capped && !full_cover) scope.forest_scale = kDecayedForestScale;
-      const DeltaEstimate d = delta_fn(result.selected, seed_i, scope);
+      const DeltaEstimate d = score(scope);
       result.rescored_candidates += static_cast<std::int64_t>(batch.size());
-      result.jl_rows = d.jl_rows;
-      result.total_walk_steps += d.walk_steps;
-      result.forests_reused += d.reused_forests;
-      round_fresh_forests += d.forests - d.reused_forests;
       for (const LazyHeapEntry& e : batch) {
         const double g = d.delta[e.id];
         const double rel = e.id < static_cast<NodeId>(d.rel.size())
@@ -359,10 +387,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
         // decay; older entries have decayed over several rounds and
         // applying one round's ratio to them is the conservative side.
         if (e.round == i - 1 && e.gain > 0.0) ratios.push_back(g / e.gain);
-        if (g > best_gain || (g == best_gain && e.id < best_id)) {
-          best_gain = g;
-          best_id = e.id;
-        }
+        consider(e.id, g);
       }
       if (!force_all && ratios.size() >= kMinProbes) {
         decay = CalibrateDecay(ratios, decay);
@@ -412,7 +437,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     predicted = frontier + frontier / 2 + kLazyBatch;
   }
 
-  if (capture != nullptr) {
+  if (capture != nullptr && !exhaustive) {
     capture->gains.assign(static_cast<std::size_t>(n), 0.0);
     capture->keys.assign(static_cast<std::size_t>(n), 0.0);
     for (const LazyHeapEntry& e : heap.entries()) {
@@ -425,8 +450,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     capture->has_arena = k >= 2;
     if (k >= 2) capture->arena = std::move(arena);
   }
-  RecordSelectionCounters(result.rescored_candidates, result.heap_pops,
-                          result.forests_reused);
+  RecordSelectionCounters(result);
   return result;
 }
 

@@ -1,4 +1,7 @@
-// Lazy-greedy (CELF) selection for the sampled solvers (DESIGN.md §13).
+// The greedy selection driver of both sampled solvers (DESIGN.md §13):
+// ForestCFCM (Alg. 3) and SchurCFCM (Alg. 5) differ only in the Delta
+// estimator they bind, so the first pick, the exhaustive scan and the
+// lazy-greedy (CELF) rounds below are written once.
 //
 // The exact marginal gains are monotone non-increasing as S grows, so
 // in exact arithmetic a gain scored in an earlier round upper-bounds
@@ -104,9 +107,11 @@ class LazyHeap {
 inline constexpr double kLazyWidthCap = 2.0;
 
 /// Scores rounds 2..k: Delta estimates for the current root set
-/// `s_nodes` under `seed`, restricted by `scope`. ForestCFCM binds this
-/// to ForestDelta; SchurCFCM adds the T-root bookkeeping and dispatches
-/// to SchurDelta.
+/// `s_nodes` under the round's stream `seed`, restricted by `scope`.
+/// ForestCFCM binds this to ForestDelta; SchurCFCM adds the T \ S root
+/// filter and dispatches to SchurDelta. Exhaustive rounds pass the
+/// default scope (every candidate, no arena); lazy rounds pass subset
+/// masks, the round arena and reduced forest targets.
 using LazyDeltaFn = std::function<DeltaEstimate(
     const std::vector<NodeId>& s_nodes, uint64_t seed,
     const DeltaScope& scope)>;
@@ -126,27 +131,29 @@ struct WarmCapture {
   bool has_arena = false;
 };
 
-/// \brief Runs the full greedy selection (first pick + lazy rounds
-/// 2..k) and returns the same CfcmResult shape as the exhaustive loop.
+/// \brief Runs the full greedy selection of ForestCFCM/SchurCFCM: the
+/// first pick (EstimateFirstPick), then rounds 2..k scored through
+/// `delta_fn` under `options.selection`.
+///
+/// kExhaustive: each round is one `delta_fn(selected, seed_i,
+/// DeltaScope{})` call and the full scan takes the (gain desc, id asc)
+/// argmax — the paper's literal loop, the reference the lazy mode is
+/// pinned against; `heap_pops` and `forests_reused` stay 0. kLazy: the
+/// CELF rounds described at the top of this file re-score only the
+/// refresh frontier.
 ///
 /// The unnamed `allow_forest_reuse` parameter is ignored: the
 /// cross-round forest-reuse pre-screen it switched has been removed,
 /// and the parameter stays only so six-argument callers still compile.
 /// Timing (result.seconds) is left at 0 for the caller to stamp. A non-null
-/// `capture` is filled on success (pure out-param; it never changes the
-/// selection).
+/// `capture` is filled on success in lazy mode (pure out-param; it never
+/// changes the selection); exhaustive mode leaves it untouched.
 StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const CfcmOptions& options,
                                       ThreadPool& pool,
                                       const LazyDeltaFn& delta_fn,
                                       bool /*allow_forest_reuse*/,
                                       WarmCapture* capture = nullptr);
-
-/// Records the engine.selection.{rescored_candidates,heap_pops,
-/// forests_reused} process counters; called by both selection modes so
-/// --trace and the metrics endpoint can compare their work directly.
-void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
-                             std::int64_t reused);
 
 }  // namespace cfcm
 

@@ -7,7 +7,6 @@
 #include "cfcm/cfcc.h"
 #include "cfcm/lazy_greedy.h"
 #include "common/timer.h"
-#include "estimators/first_pick.h"
 #include "estimators/forest_delta.h"
 #include "estimators/schur_delta.h"
 
@@ -98,69 +97,6 @@ std::vector<NodeId> SelectAuxiliaryRoots(const Graph& graph, int cap) {
   return order;
 }
 
-namespace {
-
-// The paper's literal Alg. 5 loop, kept as the lazy path's pinned
-// reference (see ForestCfcmExhaustive).
-StatusOr<CfcmResult> SchurCfcmExhaustive(const Graph& graph, int k,
-                                         const CfcmOptions& options,
-                                         ThreadPool& pool,
-                                         const std::vector<NodeId>& t_all) {
-  EstimatorOptions est = ToEstimatorOptions(options);
-
-  CfcmResult result;
-  result.auxiliary_roots = static_cast<int>(t_all.size());
-  std::vector<char> in_s(static_cast<std::size_t>(graph.num_nodes()), 0);
-
-  // Iteration 1 is identical to ForestCFCM (Alg. 5 lines 2-15).
-  {
-    const FirstPickResult first = EstimateFirstPick(graph, est, pool);
-    result.selected.push_back(first.best);
-    in_s[first.best] = 1;
-    result.forests_per_iteration.push_back(first.forests);
-    result.total_forests += first.forests;
-    result.total_walk_steps += first.walk_steps;
-  }
-  // Iterations 2..k: SchurDelta with root set S ∪ (T \ S).
-  for (int i = 1; i < k; ++i) {
-    est.seed = options.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL;
-    std::vector<NodeId> t_nodes;
-    t_nodes.reserve(t_all.size());
-    for (NodeId t : t_all) {
-      if (!in_s[t]) t_nodes.push_back(t);
-    }
-
-    DeltaEstimate delta;
-    if (t_nodes.empty()) {
-      delta = ForestDelta(graph, result.selected, est, pool);
-    } else {
-      delta = SchurDelta(graph, result.selected, t_nodes, est, pool);
-    }
-    result.jl_rows = delta.jl_rows;
-    result.forests_per_iteration.push_back(delta.forests);
-    result.total_forests += delta.forests;
-    result.total_walk_steps += delta.walk_steps;
-    result.rescored_candidates += graph.num_nodes() - i;
-
-    NodeId best = -1;
-    double best_delta = -1;
-    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-      if (in_s[u]) continue;
-      if (delta.delta[u] > best_delta) {
-        best_delta = delta.delta[u];
-        best = u;
-      }
-    }
-    result.selected.push_back(best);
-    in_s[best] = 1;
-  }
-  RecordSelectionCounters(result.rescored_candidates, result.heap_pops,
-                          result.forests_reused);
-  return result;
-}
-
-}  // namespace
-
 StatusOr<CfcmResult> SchurCfcmMaximize(const Graph& graph, int k,
                                        const CfcmOptions& options) {
   CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
@@ -172,37 +108,35 @@ StatusOr<CfcmResult> SchurCfcmMaximize(const Graph& graph, int k,
       options.t_size > 0 ? HubRemovalOrder(graph, options.t_size)
                          : SelectAuxiliaryRoots(graph, kTCap);
 
-  StatusOr<CfcmResult> result = [&]() -> StatusOr<CfcmResult> {
-    if (options.selection == SelectionMode::kExhaustive) {
-      return SchurCfcmExhaustive(graph, k, options, pool, t_all);
-    }
-    // Lazy mode: the delta binding recomputes T \ S per call (S grows
-    // between rounds).
-    StatusOr<CfcmResult> r = LazyGreedySelect(
-        graph, k, options, pool,
-        [&graph, &options, &pool, &t_all](
-            const std::vector<NodeId>& s_nodes, uint64_t seed,
-            const DeltaScope& scope) -> DeltaEstimate {
-          EstimatorOptions est = ToEstimatorOptions(options);
-          est.seed = seed;
-          std::vector<char> in_s(static_cast<std::size_t>(graph.num_nodes()),
-                                 0);
-          for (NodeId s : s_nodes) in_s[s] = 1;
-          std::vector<NodeId> t_nodes;
-          t_nodes.reserve(t_all.size());
-          for (NodeId t : t_all) {
-            if (!in_s[t]) t_nodes.push_back(t);
-          }
-          if (t_nodes.empty()) {
-            return ForestDelta(graph, s_nodes, est, pool, scope);
-          }
-          return SchurDelta(graph, s_nodes, t_nodes, est, pool, scope);
-        },
-        /*allow_forest_reuse=*/false);
-    if (r.ok()) r->auxiliary_roots = static_cast<int>(t_all.size());
-    return r;
-  }();
-  if (result.ok()) result->seconds = timer.Seconds();
+  // Alg. 5: the shared greedy driver, scoring rounds 2..k with Alg. 4
+  // rooted at S ∪ (T \ S) — recomputed per call, since S grows between
+  // rounds — or with Alg. 2 once T ⊆ S.
+  StatusOr<CfcmResult> result = LazyGreedySelect(
+      graph, k, options, pool,
+      [&graph, &options, &pool, &t_all](const std::vector<NodeId>& s_nodes,
+                                        uint64_t seed,
+                                        const DeltaScope& scope)
+          -> DeltaEstimate {
+        EstimatorOptions est = ToEstimatorOptions(options);
+        est.seed = seed;
+        std::vector<char> in_s(static_cast<std::size_t>(graph.num_nodes()),
+                               0);
+        for (NodeId s : s_nodes) in_s[s] = 1;
+        std::vector<NodeId> t_nodes;
+        t_nodes.reserve(t_all.size());
+        for (NodeId t : t_all) {
+          if (!in_s[t]) t_nodes.push_back(t);
+        }
+        if (t_nodes.empty()) {
+          return ForestDelta(graph, s_nodes, est, pool, scope);
+        }
+        return SchurDelta(graph, s_nodes, t_nodes, est, pool, scope);
+      },
+      /*allow_forest_reuse=*/false);
+  if (result.ok()) {
+    result->auxiliary_roots = static_cast<int>(t_all.size());
+    result->seconds = timer.Seconds();
+  }
   return result;
 }
 

@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace cfcm {
 
 namespace {
@@ -34,6 +37,12 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+void DieOnErrorValueAccess(const Status& status) {
+  std::fprintf(stderr, "StatusOr value read on error status: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace cfcm

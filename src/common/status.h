@@ -62,9 +62,14 @@ class Status {
   std::string message_;
 };
 
+/// Prints `status` and aborts: the value of an error StatusOr was read.
+/// Not compiled out in any build type.
+[[noreturn]] void DieOnErrorValueAccess(const Status& status);
+
 /// \brief Either a value of type T or an error Status.
 ///
-/// Access the value with `value()` (asserts ok) or check `ok()` first.
+/// Check `ok()` first: reading the value (`value()`, `*`, `->`) of an
+/// error StatusOr prints its status and aborts, in every build type.
 template <typename T>
 class StatusOr {
  public:
@@ -77,15 +82,15 @@ class StatusOr {
   const Status& status() const { return status_; }
 
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -95,6 +100,10 @@ class StatusOr {
   const T* operator->() const { return &value(); }
 
  private:
+  void CheckOk() const {
+    if (!ok()) DieOnErrorValueAccess(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

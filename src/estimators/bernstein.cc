@@ -6,34 +6,15 @@
 
 namespace cfcm {
 
-namespace {
-
-double EmpiricalVariance(std::int64_t count, double sum, double sum_sq) {
-  const double mean = sum / static_cast<double>(count);
-  return std::max(0.0, sum_sq / static_cast<double>(count) - mean * mean);
-}
-
-}  // namespace
-
 double EmpiricalBernsteinHalfWidth(std::int64_t count, double sum,
                                    double sum_sq, double sup, double delta) {
   if (count <= 0) return std::numeric_limits<double>::infinity();
-  const double var = EmpiricalVariance(count, sum, sum_sq);
+  const double mean = sum / static_cast<double>(count);
+  const double var =
+      std::max(0.0, sum_sq / static_cast<double>(count) - mean * mean);
   const double log_term = std::log(3.0 / delta);
   return std::sqrt(2.0 * var * log_term / static_cast<double>(count)) +
          3.0 * sup * log_term / static_cast<double>(count);
-}
-
-double VarianceHalfWidth(std::int64_t count, double sum, double sum_sq,
-                         double delta) {
-  if (count <= 0) return std::numeric_limits<double>::infinity();
-  const double var = EmpiricalVariance(count, sum, sum_sq);
-  const double log_term = std::log(3.0 / delta);
-  return std::sqrt(2.0 * var * log_term / static_cast<double>(count));
-}
-
-double HoeffdingSampleBound(double range, double eps_abs, double delta) {
-  return range * range * std::log(2.0 / delta) / (2.0 * eps_abs * eps_abs);
 }
 
 }  // namespace cfcm

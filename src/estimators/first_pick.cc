@@ -95,23 +95,12 @@ FirstPickResult EstimateFirstPick(const Graph& graph,
   const int target = ResolveTargetForests(options, n);
 
   FirstPickKernel kernel(graph, scaffold, options, McScratchSlots(pool));
-  McRunOptions run;
-  run.num_nodes = n;
-
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
-
-  int total = 0;
-  int batch = std::max(1, options.min_batch);
-  while (total < target) {
-    const int current = std::min(batch, target - total);
-    const McRunStats stats = RunForestBatch(
-        pool, run, static_cast<uint64_t>(total), current, kernel);
-    result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum);
-    total += current;
-    batch = NextBatchSize(batch, target);
-  }
-  result.forests = total;
+  const McRunStats run =
+      RunForestSchedule(pool, n, options.min_batch, target, kernel,
+                        [&] { kernel.MergeBatch(&sum); });
+  result.forests = run.forests;
+  result.walk_steps = run.walk_steps;
 
   result.scores.assign(static_cast<std::size_t>(n), 0.0);
   for (NodeId u = 0; u < n; ++u) {

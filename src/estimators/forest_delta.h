@@ -60,20 +60,16 @@ struct DeltaScope {
 };
 
 /// \brief Runs Algorithm 2: samples the resolved target of rooted forests
-/// with root set `s_nodes` (in min_batch-doubling batches), maintains
-/// diagonal and JL-sketched flow estimators, and reports each node's
-/// final empirical-Bernstein width in `rel`.
+/// with root set `s_nodes` (RunForestSchedule), maintains diagonal and
+/// JL-sketched flow estimators, and reports each node's final
+/// empirical-Bernstein width in `rel`. `scope` restricts the call
+/// (subset re-scoring, arena replay); the default scores every node.
 ///
 /// Requires a connected graph and a non-empty root set.
 DeltaEstimate ForestDelta(const Graph& graph,
                           const std::vector<NodeId>& s_nodes,
-                          const EstimatorOptions& options, ThreadPool& pool);
-
-/// ForestDelta restricted by `scope` (subset re-scoring, arena replay).
-DeltaEstimate ForestDelta(const Graph& graph,
-                          const std::vector<NodeId>& s_nodes,
                           const EstimatorOptions& options, ThreadPool& pool,
-                          const DeltaScope& scope);
+                          const DeltaScope& scope = {});
 
 }  // namespace cfcm
 

@@ -1,11 +1,19 @@
 #include "estimators/jl_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "estimators/bernstein.h"
 #include "estimators/phi_estimators.h"
 #include "forest/subtree.h"
 
 namespace cfcm {
+
+JlMoments::JlMoments(NodeId n, int w)
+    : sum_x(static_cast<std::size_t>(n), 0.0),
+      sum_sq_x(static_cast<std::size_t>(n), 0.0),
+      sum_y(static_cast<std::size_t>(n) * w, 0.0),
+      sum_y_sq(static_cast<std::size_t>(n), 0.0) {}
 
 JlForestKernel::JlForestKernel(const Graph& graph, const TreeScaffold& scaffold,
                                const JlSketch& sketch, uint64_t seed,
@@ -85,22 +93,60 @@ void JlForestKernel::Accumulate(std::size_t slot, NodeId begin, NodeId end) {
   AccumulateExtra(ws, begin, end);
 }
 
-void JlForestKernel::MergeBatch(std::vector<double>* sum_x,
-                                std::vector<double>* sum_sq_x,
-                                std::vector<double>* sum_y,
-                                std::vector<double>* sum_y_sq) {
+void JlForestKernel::MergeBatch(JlMoments* moments) {
   for (std::size_t u = 0; u < partial_sum_x_.size(); ++u) {
-    (*sum_x)[u] += partial_sum_x_[u];
-    (*sum_sq_x)[u] += partial_sum_sq_x_[u];
-    (*sum_y_sq)[u] += partial_sum_y_sq_[u];
+    moments->sum_x[u] += partial_sum_x_[u];
+    moments->sum_sq_x[u] += partial_sum_sq_x_[u];
+    moments->sum_y_sq[u] += partial_sum_y_sq_[u];
   }
   for (std::size_t i = 0; i < partial_sum_y_.size(); ++i) {
-    (*sum_y)[i] += partial_sum_y_[i];
+    moments->sum_y[i] += partial_sum_y_[i];
   }
   std::fill(partial_sum_x_.begin(), partial_sum_x_.end(), 0.0);
   std::fill(partial_sum_sq_x_.begin(), partial_sum_sq_x_.end(), 0.0);
   std::fill(partial_sum_y_.begin(), partial_sum_y_.end(), 0.0);
   std::fill(partial_sum_y_sq_.begin(), partial_sum_y_sq_.end(), 0.0);
+}
+
+DeltaFinisher::DeltaFinisher(const Graph& graph, const TreeScaffold& scaffold,
+                             const JlMoments& moments, int forests,
+                             double delta_fail, DeltaEstimate* out)
+    : graph_(graph),
+      scaffold_(scaffold),
+      moments_(moments),
+      forests_(forests),
+      inv_r_(1.0 / static_cast<double>(forests)),
+      delta_fail_(delta_fail),
+      log_term_(std::log(3.0 / delta_fail)),
+      out_(out) {}
+
+void DeltaFinisher::Finish(NodeId u, double zu, double num,
+                           double mean_sq) const {
+  // Aggregate variance across sketch rows: sum_j Var(Y_j) = mean
+  // ||Y_f||^2 - ||mean Y||^2. Used both to debias the numerator and as
+  // the Bernstein variance proxy.
+  const double v_tot =
+      std::max(0.0, moments_.sum_y_sq[u] * inv_r_ - mean_sq);
+  // E[sum_j Ybar_j^2] = ||E Y||^2 + sum_j Var(Y_j)/r: subtract the
+  // plug-in bias (it scales with depth^2 and would systematically favor
+  // deep nodes on high-diameter graphs).
+  if (forests_ > 1) {
+    num = std::max(num - v_tot / static_cast<double>(forests_ - 1), 0.0);
+  }
+  out_->z[u] = zu;
+  out_->numerator[u] = num;
+  // (L^{-1}_{-S})_uu >= 1/d_w(u) by the Neumann-series bound (paper
+  // Lemma 3.9; weighted degree = Laplacian diagonal); clamp the
+  // denominator so sampling noise cannot blow up the ratio.
+  const double z_floor = 1.0 / (graph_.weighted_degree(u) + 1.0);
+  out_->delta[u] = num / std::max(zu, z_floor);
+
+  const double sup_x = 2.0 * scaffold_.resistance_depth[u];
+  const double hz = EmpiricalBernsteinHalfWidth(
+      forests_, moments_.sum_x[u], moments_.sum_sq_x[u], sup_x, delta_fail_);
+  const double h_base = 2.0 * log_term_ * v_tot * inv_r_;
+  const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
+  out_->rel[u] = h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
 }
 
 }  // namespace cfcm

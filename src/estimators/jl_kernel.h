@@ -5,7 +5,9 @@
 // passes, and fold per-node first/second moments of X_f and Y_f into
 // shared accumulators. This kernel implements that core once over the
 // sampling runtime (DESIGN.md §9); SchurDelta subclasses it to add the
-// rooted-probability counters and per-tree JL sums of Lemma 4.2.
+// rooted-probability counters and per-tree JL sums of Lemma 4.2. The
+// per-node finish of both estimates (debiased numerator, floored
+// denominator, Bernstein width) is DeltaFinisher, also written once.
 #ifndef CFCM_ESTIMATORS_JL_KERNEL_H_
 #define CFCM_ESTIMATORS_JL_KERNEL_H_
 
@@ -14,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "estimators/forest_delta.h"
 #include "forest/bfs_tree.h"
 #include "forest/wilson.h"
 #include "linalg/jl.h"
@@ -21,6 +24,16 @@
 #include "runtime/mc_runtime.h"
 
 namespace cfcm {
+
+/// Running per-node moment sums over the forests merged so far.
+struct JlMoments {
+  JlMoments(NodeId n, int w);
+
+  std::vector<double> sum_x;     ///< sum of X_f(u)
+  std::vector<double> sum_sq_x;  ///< sum of X_f(u)^2
+  std::vector<double> sum_y;     ///< sum of Y_f(u), node-major n x w
+  std::vector<double> sum_y_sq;  ///< sum of ||Y_f(u)||^2
+};
 
 class JlForestKernel : public ForestKernel {
  public:
@@ -65,10 +78,9 @@ class JlForestKernel : public ForestKernel {
                              std::uint64_t forest_index) override;
   void Accumulate(std::size_t slot, NodeId begin, NodeId end) override;
 
-  /// Folds the batch partials into the running sums (`sum_y` is
-  /// node-major n x w) and clears them for the next batch.
-  void MergeBatch(std::vector<double>* sum_x, std::vector<double>* sum_sq_x,
-                  std::vector<double>* sum_y, std::vector<double>* sum_y_sq);
+  /// Folds the batch partials into the running sums and clears them for
+  /// the next batch.
+  void MergeBatch(JlMoments* moments);
 
  protected:
   struct Scratch {
@@ -117,6 +129,36 @@ class JlForestKernel : public ForestKernel {
   std::vector<double> partial_sum_sq_x_;
   std::vector<double> partial_sum_y_;  // node-major n x w
   std::vector<double> partial_sum_y_sq_;
+};
+
+/// \brief Per-node finish of ForestDelta and of SchurDelta's U nodes at
+/// the final forest count r.
+///
+/// Finish(u, zu, num, mean_sq) subtracts the plug-in bias of the sampled
+/// numerator, floors the denominator at the Neumann bound 1/(d_w(u)+1),
+/// and writes z[u], numerator[u], delta[u] and the relative
+/// empirical-Bernstein half-width rel[u] (Lemma 3.6) into `out`. `zu` is
+/// the denominator estimate, `num` the squared norm of the numerator
+/// vector (sampled mean plus any exact correction) and `mean_sq` the
+/// squared norm of the sampled mean alone. log(3/delta) is computed
+/// once, at construction.
+class DeltaFinisher {
+ public:
+  DeltaFinisher(const Graph& graph, const TreeScaffold& scaffold,
+                const JlMoments& moments, int forests, double delta_fail,
+                DeltaEstimate* out);
+
+  void Finish(NodeId u, double zu, double num, double mean_sq) const;
+
+ private:
+  const Graph& graph_;
+  const TreeScaffold& scaffold_;
+  const JlMoments& moments_;
+  const int forests_;
+  const double inv_r_;
+  const double delta_fail_;
+  const double log_term_;
+  DeltaEstimate* const out_;
 };
 
 }  // namespace cfcm

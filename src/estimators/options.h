@@ -3,8 +3,11 @@
 #define CFCM_ESTIMATORS_OPTIONS_H_
 
 #include <cstdint>
+#include <functional>
 
+#include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "runtime/mc_runtime.h"
 
 namespace cfcm {
 
@@ -32,15 +35,25 @@ struct EstimatorOptions {
 /// Number of JL rows w actually used for an n-node graph.
 int ResolveJlRows(const EstimatorOptions& options, NodeId n);
 
-/// Number of forests every estimate samples.
-int ResolveTargetForests(const EstimatorOptions& options, NodeId n);
+/// Number of forests every estimate samples. A `forest_scale` below 1
+/// (DeltaScope::forest_scale) shrinks it, floored at min_batch.
+int ResolveTargetForests(const EstimatorOptions& options, NodeId n,
+                         double forest_scale = 1.0);
 
 /// Failure probability delta for Bernstein bounds.
 double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n);
 
-/// Next batch size for the doubling sample loops: 2 * batch, clamped to
-/// `target` and guarded against int overflow when max_forests is large.
-int NextBatchSize(int batch, int target);
+/// \brief The fixed forest schedule of every estimator: runs forests
+/// [0, target) through `kernel` on `pool` in batches of min_batch,
+/// 2 min_batch, 4 min_batch, ... (each clamped to what is left),
+/// calling `merge` after each batch.
+///
+/// The kernel's batch partials are folded at these boundaries, so the
+/// schedule is part of every estimate's bits. Returns the forests run
+/// and their total walk steps.
+McRunStats RunForestSchedule(ThreadPool& pool, NodeId n, int min_batch,
+                             int target, ForestKernel& kernel,
+                             const std::function<void()>& merge);
 
 }  // namespace cfcm
 

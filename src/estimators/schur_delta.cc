@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "estimators/bernstein.h"
 #include "estimators/jl_kernel.h"
 #include "forest/bfs_tree.h"
 #include "linalg/jl.h"
@@ -125,14 +124,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
                               const std::vector<NodeId>& s_nodes,
                               const std::vector<NodeId>& t_nodes,
                               const EstimatorOptions& options,
-                              ThreadPool& pool) {
-  return SchurDelta(graph, s_nodes, t_nodes, options, pool, DeltaScope{});
-}
-
-SchurDeltaEstimate SchurDelta(const Graph& graph,
-                              const std::vector<NodeId>& s_nodes,
-                              const std::vector<NodeId>& t_nodes,
-                              const EstimatorOptions& options,
                               ThreadPool& pool, const DeltaScope& scope) {
   const NodeId n = graph.num_nodes();
   const int nt = static_cast<int>(t_nodes.size());
@@ -146,11 +137,7 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
          "S and T must be disjoint");
 
   const int w = ResolveJlRows(options, n);
-  int target = ResolveTargetForests(options, n);
-  if (scope.forest_scale < 1.0) {
-    target = std::max(std::max(1, options.min_batch),
-                      static_cast<int>(target * scope.forest_scale));
-  }
+  const int target = ResolveTargetForests(options, n, scope.forest_scale);
   const double delta_fail = ResolveBernsteinDelta(options, n);
   const JlSketch sketch(w, n, options.seed ^ 0xc4ceb9fe1a85ec53ULL);
 
@@ -176,14 +163,8 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
     scope.arena->BeginRound(n, roots, options.seed, target);
     kernel.set_arena(scope.arena);
   }
-  McRunOptions run;
-  run.num_nodes = n;
 
-  const std::size_t nw = static_cast<std::size_t>(n) * w;
-  std::vector<double> sum_x(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> sum_sq_x(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> sum_y(nw, 0.0);
-  std::vector<double> sum_y_sq(static_cast<std::size_t>(n), 0.0);
+  JlMoments moments(n, w);
   std::vector<uint32_t> counts(static_cast<std::size_t>(n) * nt, 0);
   std::vector<double> sum_wf(static_cast<std::size_t>(w) * nt, 0.0);
 
@@ -195,24 +176,18 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   result.numerator.assign(static_cast<std::size_t>(n), 0.0);
   result.rel.assign(static_cast<std::size_t>(n), 0.0);
 
-  int total = 0;
-  int batch = std::max(1, options.min_batch);
-  while (total < target) {
-    const int current = std::min(batch, target - total);
-    const McRunStats stats = RunForestBatch(
-        pool, run, static_cast<uint64_t>(total), current, kernel);
-    result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
-    kernel.MergeSchurBatch(&counts, &sum_wf);
-    total += current;
-    batch = NextBatchSize(batch, target);
-  }
+  const McRunStats run =
+      RunForestSchedule(pool, n, options.min_batch, target, kernel, [&] {
+        kernel.MergeBatch(&moments);
+        kernel.MergeSchurBatch(&counts, &sum_wf);
+      });
+  const int total = run.forests;
+  result.walk_steps = run.walk_steps;
 
   // Block reconstruction of Eq. (11) at the final sample count r, and
   // each node's relative empirical-Bernstein width on the forest-sampled
   // parts.
   const double inv_r = 1.0 / static_cast<double>(total);
-  const double log_term = std::log(3.0 / delta_fail);
 
   // Schur complement from rooted probabilities, Eq. (15):
   // S~(i,j) = L(t_i,t_j) - sum_{u ~ t_i, u in U} w(t_i,u) F~(u, j).
@@ -248,6 +223,8 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   }
   const DenseMatrix m = wfq.Multiply(g);
 
+  const DeltaFinisher finisher(graph, scaffold, moments, total, delta_fail,
+                               &result);
   std::vector<int> nz;
   nz.reserve(static_cast<std::size_t>(nt));
   std::vector<double> ycorr(static_cast<std::size_t>(w));
@@ -282,13 +259,13 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
         corr_z += fa * static_cast<double>(row[b]) * inv_r * g(a, b);
       }
     }
-    zu = sum_x[u] * inv_r + corr_z;
+    zu = moments.sum_x[u] * inv_r + corr_z;
     std::fill(ycorr.begin(), ycorr.end(), 0.0);
     for (int a : nz) {
       const double fa = static_cast<double>(row[a]) * inv_r;
       for (int j = 0; j < w; ++j) ycorr[j] += m(j, a) * fa;
     }
-    const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
+    const double* yu = moments.sum_y.data() + static_cast<std::size_t>(u) * w;
     double mean_sq = 0;
     for (int j = 0; j < w; ++j) {
       const double mj = yu[j] * inv_r;
@@ -296,25 +273,8 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
       const double v = mj + ycorr[j];
       num += v * v;
     }
-    // Debias the sampled part of the squared norm (see ForestDelta):
-    // E[sum_j Ybar_j^2] exceeds ||E Y||^2 by sum_j Var(Y_j)/r.
-    const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - mean_sq);
-    if (total > 1) {
-      num = std::max(num - v_tot / static_cast<double>(total - 1), 0.0);
-    }
-    result.z[u] = zu;
-    result.numerator[u] = num;
-    const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-    result.delta[u] = num / std::max(zu, z_floor);
-
-    const double sup_x = 2.0 * scaffold.resistance_depth[u];
-    const double hz = EmpiricalBernsteinHalfWidth(total, sum_x[u],
-                                                  sum_sq_x[u], sup_x,
-                                                  delta_fail);
-    const double h_base = 2.0 * log_term * v_tot * inv_r;
-    const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-    result.rel[u] =
-        h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
+    // Only the sampled part carries the plug-in bias (see DeltaFinisher).
+    finisher.Finish(u, zu, num, mean_sq);
   }
   // T nodes carry no Bernstein stream of their own (their values come
   // out of the Schur algebra); give them the widest U width so the

@@ -27,25 +27,19 @@ struct SchurDeltaEstimate : DeltaEstimate {
 /// the rooted-probability matrix F (Lemma 4.2) and the Schur complement
 /// estimated entrywise from F via Eq. (15).
 ///
+/// `scope` restricts the call (subset re-scoring, arena replay). The
+/// rooted-probability counters stay global regardless of the subset —
+/// the Schur complement (Eq. 15) needs F~(u, t) for every neighbor u of
+/// T — but they are O(1) per node per forest; the O(w)-per-node moment
+/// folds and the Eq. (11) per-candidate assembly shrink to the subset.
+///
 /// `t_nodes` must be disjoint from `s_nodes`; both non-empty; graph
 /// connected; |S| + |T| < n.
 SchurDeltaEstimate SchurDelta(const Graph& graph,
                               const std::vector<NodeId>& s_nodes,
                               const std::vector<NodeId>& t_nodes,
                               const EstimatorOptions& options,
-                              ThreadPool& pool);
-
-/// SchurDelta restricted by `scope` (subset re-scoring, arena replay).
-/// The rooted-probability counters stay global regardless of the
-/// subset — the Schur complement (Eq. 15) needs F~(u, t) for every
-/// neighbor u of T — but they are O(1) per node per forest; the
-/// O(w)-per-node moment folds and the Eq. (11) per-candidate assembly
-/// shrink to the subset.
-SchurDeltaEstimate SchurDelta(const Graph& graph,
-                              const std::vector<NodeId>& s_nodes,
-                              const std::vector<NodeId>& t_nodes,
-                              const EstimatorOptions& options,
-                              ThreadPool& pool, const DeltaScope& scope);
+                              ThreadPool& pool, const DeltaScope& scope = {});
 
 }  // namespace cfcm
 

@@ -1,7 +1,6 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -137,18 +136,14 @@ Graph BuildGraph(NodeId num_nodes,
                  const std::vector<std::pair<NodeId, NodeId>>& edges) {
   GraphBuilder builder(num_nodes);
   for (const auto& [u, v] : edges) builder.AddEdge(u, v);
-  auto graph = std::move(builder).Build();
-  assert(graph.ok());
-  return std::move(graph).value();
+  return std::move(builder).Build().value();
 }
 
 Graph BuildWeightedGraph(NodeId num_nodes,
                          const std::vector<WeightedEdge>& edges) {
   GraphBuilder builder(num_nodes);
   for (const auto& e : edges) builder.AddEdge(e.u, e.v, e.weight);
-  auto graph = std::move(builder).Build();
-  assert(graph.ok());
-  return std::move(graph).value();
+  return std::move(builder).Build().value();
 }
 
 }  // namespace cfcm

@@ -57,13 +57,14 @@ class GraphBuilder {
   std::vector<double> weights_;  // parallel to edges_
 };
 
-/// Convenience for tests/generators: builds from an edge list, asserting
-/// validity.
+/// Convenience for tests/generators: builds from an edge list; aborts
+/// with the builder's status on invalid input.
 Graph BuildGraph(NodeId num_nodes,
                  const std::vector<std::pair<NodeId, NodeId>>& edges);
 
-/// Weighted convenience: builds from (u, v, w) triples, asserting
-/// validity (positive finite weights, non-negative ids).
+/// Weighted convenience: builds from (u, v, w) triples; aborts with the
+/// builder's status on invalid input (non-positive or non-finite
+/// weights, negative ids).
 Graph BuildWeightedGraph(NodeId num_nodes,
                          const std::vector<WeightedEdge>& edges);
 

@@ -1,8 +1,6 @@
 #include "serve/protocol.h"
 
-#include <array>
 #include <cstdio>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -198,35 +196,26 @@ struct OpMetrics {
   obs::LatencyHistogram* latency_us;
 };
 
-OpMetrics ResolveOpMetrics(const char* op) {
+OpMetrics ResolveOpMetrics(std::string_view op) {
   auto& registry = obs::MetricsRegistry::Global();
-  const std::string prefix = std::string("serve.") + op;
+  const std::string prefix = "serve." + std::string(op);
   return OpMetrics{&registry.counter(prefix + ".requests"),
                    &registry.counter(prefix + ".errors"),
                    &registry.histogram(prefix + ".latency_us")};
 }
 
-// The ops with their own serve.<op>.* series; anything else (including
-// unknown ops) is counted under serve.other.*.
-constexpr const char* kMeteredOps[] = {
-    "load",    "unload", "solve",   "evaluate", "mutate",
-    "augment", "stats",  "metrics", "flightz",  "shutdown",
-};
-constexpr std::size_t kNumMeteredOps = std::size(kMeteredOps);
-
-const OpMetrics& MetricsFor(const std::string& op) {
-  // Slot kNumMeteredOps holds serve.other.*.
-  static const std::array<OpMetrics, kNumMeteredOps + 1> table = [] {
-    std::array<OpMetrics, kNumMeteredOps + 1> resolved{};
-    for (std::size_t i = 0; i < kNumMeteredOps; ++i) {
-      resolved[i] = ResolveOpMetrics(kMeteredOps[i]);
+// The serve.<op>.* series of op-table entry `index`; one past the last
+// entry (an unknown op) is serve.other.*.
+const OpMetrics& MetricsFor(std::size_t index) {
+  static const std::vector<OpMetrics> table = [] {
+    std::vector<OpMetrics> resolved;
+    for (std::string_view name : ServeHandler::OpNames()) {
+      resolved.push_back(ResolveOpMetrics(name));
     }
-    resolved[kNumMeteredOps] = ResolveOpMetrics("other");
+    resolved.push_back(ResolveOpMetrics("other"));
     return resolved;
   }();
-  std::size_t i = 0;
-  while (i < kNumMeteredOps && op != kMeteredOps[i]) ++i;
-  return table[i];
+  return table[index];
 }
 
 // {"count","mean_us","p50_us","p95_us","p99_us","max_us"} for the stats
@@ -392,6 +381,28 @@ ServeHandler::ServeHandler(HandlerOptions options)
   obs::ProcessStartMonoNs();
 }
 
+std::span<const ServeHandler::Op> ServeHandler::Ops() {
+  static constexpr Op kOps[] = {
+      {"load", &ServeHandler::HandleLoad},
+      {"unload", &ServeHandler::HandleUnload},
+      {"solve", &ServeHandler::HandleSolve},
+      {"evaluate", &ServeHandler::HandleEvaluate},
+      {"mutate", &ServeHandler::HandleMutate},
+      {"augment", &ServeHandler::HandleAugment},
+      {"stats", &ServeHandler::HandleStats},
+      {"metrics", &ServeHandler::HandleMetrics},
+      {"flightz", &ServeHandler::HandleFlightz},
+      {"shutdown", &ServeHandler::HandleShutdown},
+  };
+  return kOps;
+}
+
+std::vector<std::string_view> ServeHandler::OpNames() {
+  std::vector<std::string_view> names;
+  for (const Op& op : Ops()) names.push_back(op.name);
+  return names;
+}
+
 JsonValue ServeHandler::HandleLine(std::string_view line) {
   return HandleLine(line, RequestInfo{}, nullptr);
 }
@@ -472,33 +483,26 @@ JsonValue ServeHandler::Handle(const JsonValue& request,
   obs::FlightRecord* record_ptr = flight_on ? &record : nullptr;
 
   Timer timer;
+  const std::span<const Op> ops = Ops();
+  std::size_t index = 0;
+  while (index < ops.size() && ops[index].name != *op) ++index;
   JsonValue response = [&]() -> JsonValue {
-    if (*op == "load") return HandleLoad(request, trace_ptr, record_ptr);
-    if (*op == "unload") return HandleUnload(request);
-    if (*op == "solve") return HandleSolve(request, trace_ptr, record_ptr);
-    if (*op == "evaluate") {
-      return HandleEvaluate(request, trace_ptr, record_ptr);
+    if (index < ops.size()) {
+      return (this->*ops[index].handle)(request, trace_ptr, record_ptr);
     }
-    if (*op == "mutate") return HandleMutate(request, trace_ptr, record_ptr);
-    if (*op == "augment") return HandleAugment(request, trace_ptr, record_ptr);
-    if (*op == "stats") return HandleStats();
-    if (*op == "metrics") return HandleMetrics(request);
-    if (*op == "flightz") return HandleFlightz(request);
-    if (*op == "shutdown") {
-      shutdown_.store(true, std::memory_order_release);
-      return OkResponse({{"op", "shutdown"}});
+    std::string expected;
+    for (const Op& known : ops) {
+      if (!expected.empty()) expected += '/';
+      expected += known.name;
     }
     return ErrorResponseFor(
-        request,
-        Status::InvalidArgument(
-            "unknown op '" + *op +
-            "' (expected load/unload/solve/evaluate/mutate/augment/stats/"
-            "metrics/flightz/shutdown)"));
+        request, Status::InvalidArgument("unknown op '" + *op +
+                                         "' (expected " + expected + ")"));
   }();
 
   // Whole-request latency: transport phases plus the handler itself.
   const int64_t total_us = pre_ns / 1000 + timer.Micros();
-  const OpMetrics& metrics = MetricsFor(*op);
+  const OpMetrics& metrics = MetricsFor(index);
   metrics.requests->Add(1);
   metrics.latency_us->Record(total_us);
 
@@ -585,7 +589,9 @@ JsonValue ServeHandler::HandleLoad(const JsonValue& request,
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleUnload(const JsonValue& request) {
+JsonValue ServeHandler::HandleUnload(const JsonValue& request,
+                                     obs::TraceContext* /*trace*/,
+                                     obs::FlightRecord* /*record*/) {
   StatusOr<std::string> name = GetString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
   Status forgotten = catalog_.Forget(*name);
@@ -1037,7 +1043,9 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleStats() {
+JsonValue ServeHandler::HandleStats(const JsonValue& /*request*/,
+                                    obs::TraceContext* /*trace*/,
+                                    obs::FlightRecord* /*record*/) {
   const ResultCacheStats cache = cache_.stats();
   JsonValue::Object cache_json{
       {"hits", cache.hits},
@@ -1133,7 +1141,9 @@ JsonValue ServeHandler::HandleStats() {
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleMetrics(const JsonValue& request) {
+JsonValue ServeHandler::HandleMetrics(const JsonValue& request,
+                                      obs::TraceContext* /*trace*/,
+                                      obs::FlightRecord* /*record*/) {
   std::string format = "json";
   if (const JsonValue* field = request.Find("format")) {
     if (!field->is_string() || (field->as_string() != "json" &&
@@ -1174,7 +1184,9 @@ JsonValue ServeHandler::HandleMetrics(const JsonValue& request) {
   });
 }
 
-JsonValue ServeHandler::HandleFlightz(const JsonValue& request) {
+JsonValue ServeHandler::HandleFlightz(const JsonValue& request,
+                                      obs::TraceContext* /*trace*/,
+                                      obs::FlightRecord* /*record*/) {
   if (flight_ == nullptr) {
     return ErrorResponseFor(
         request, Status::FailedPrecondition(
@@ -1187,6 +1199,13 @@ JsonValue ServeHandler::HandleFlightz(const JsonValue& request) {
       FlightzJson(*flight_, static_cast<std::size_t>(*n));
   fields["op"] = "flightz";
   return OkResponse(std::move(fields));
+}
+
+JsonValue ServeHandler::HandleShutdown(const JsonValue& /*request*/,
+                                       obs::TraceContext* /*trace*/,
+                                       obs::FlightRecord* /*record*/) {
+  shutdown_.store(true, std::memory_order_release);
+  return OkResponse({{"op", "shutdown"}});
 }
 
 JsonValue::Object FlightzJson(const obs::FlightRecorder& flight,

@@ -53,6 +53,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,10 +179,28 @@ class ServeHandler {
   /// Null when no SLO objectives were configured.
   obs::SloTracker* slo_tracker() { return slo_.get(); }
 
+  /// Wire names of every protocol op, in op-table order. Each has its
+  /// own serve.<op>.* metric series; any other op is counted under
+  /// serve.other.*.
+  static std::vector<std::string_view> OpNames();
+
  private:
+  // One protocol op: its wire name and handler. Ops() is the protocol's
+  // only op list: dispatch, the unknown-op message and the per-op
+  // metric series all read it.
+  using OpHandler = JsonValue (ServeHandler::*)(const JsonValue& request,
+                                                obs::TraceContext* trace,
+                                                obs::FlightRecord* record);
+  struct Op {
+    std::string_view name;
+    OpHandler handle;
+  };
+  static std::span<const Op> Ops();
+
   JsonValue HandleLoad(const JsonValue& request, obs::TraceContext* trace,
                        obs::FlightRecord* record);
-  JsonValue HandleUnload(const JsonValue& request);
+  JsonValue HandleUnload(const JsonValue& request, obs::TraceContext* trace,
+                         obs::FlightRecord* record);
   JsonValue HandleSolve(const JsonValue& request, obs::TraceContext* trace,
                         obs::FlightRecord* record);
   JsonValue HandleEvaluate(const JsonValue& request, obs::TraceContext* trace,
@@ -190,9 +209,14 @@ class ServeHandler {
                          obs::FlightRecord* record);
   JsonValue HandleAugment(const JsonValue& request, obs::TraceContext* trace,
                           obs::FlightRecord* record);
-  JsonValue HandleStats();
-  JsonValue HandleMetrics(const JsonValue& request);
-  JsonValue HandleFlightz(const JsonValue& request);
+  JsonValue HandleStats(const JsonValue& request, obs::TraceContext* trace,
+                        obs::FlightRecord* record);
+  JsonValue HandleMetrics(const JsonValue& request, obs::TraceContext* trace,
+                          obs::FlightRecord* record);
+  JsonValue HandleFlightz(const JsonValue& request, obs::TraceContext* trace,
+                          obs::FlightRecord* record);
+  JsonValue HandleShutdown(const JsonValue& request, obs::TraceContext* trace,
+                           obs::FlightRecord* record);
 
   HandlerOptions options_;
   SessionCatalog catalog_;

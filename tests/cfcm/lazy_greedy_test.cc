@@ -11,6 +11,9 @@
 // 4. Escalation calls within a round replay the round's forest arena
 //    instead of re-walking, and the exact work counters of one lazy
 //    trajectory per sampled solver are pinned.
+// 5. The driver's exhaustive mode makes one full, arena-free call per
+//    round on the round's stream seed, and one exhaustive CfcmResult
+//    per sampled solver is pinned field by field.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -176,6 +179,56 @@ TEST(LazyGreedySelectTest, ReproducesExactGreedyOnProportionalDecayOracle) {
   EXPECT_GT(result->heap_pops, 0);
 }
 
+TEST(LazyGreedySelectTest, ExhaustiveModeScoresEveryCandidateOncePerRound) {
+  // The exhaustive mode of the same driver: each round 2..k is exactly
+  // one unmasked, arena-free, full-budget call on the round's stream
+  // seed, and the pick is the (gain desc, id asc) argmax of the scan.
+  // The oracle ties every pair of nodes, so the id tie-break decides.
+  const Graph g = KarateClub();
+  const NodeId n = g.num_nodes();
+  CfcmOptions options = Opts(3, SelectionMode::kExhaustive);
+  ThreadPool& pool = ResolveSamplingPool(options);
+
+  std::vector<uint64_t> seeds;
+  auto delta_fn = [&](const std::vector<NodeId>& s_nodes, uint64_t seed,
+                      const DeltaScope& scope) {
+    EXPECT_EQ(scope.subset, nullptr);
+    EXPECT_EQ(scope.arena, nullptr);
+    EXPECT_EQ(scope.forest_scale, 1.0);
+    seeds.push_back(seed);
+    DeltaEstimate d;
+    d.delta.assign(static_cast<std::size_t>(n), 0.0);
+    d.forests = 7;
+    d.jl_rows = 5;
+    for (NodeId u = 0; u < n; ++u) {
+      if (std::find(s_nodes.begin(), s_nodes.end(), u) == s_nodes.end()) {
+        d.delta[u] = static_cast<double>(u / 2);
+      }
+    }
+    return d;
+  };
+
+  const int k = 4;
+  const auto result = LazyGreedySelect(g, k, options, pool, delta_fn,
+                                       /*allow_forest_reuse=*/false);
+  ASSERT_TRUE(result.ok());
+  std::vector<uint64_t> expected_seeds;
+  for (int i = 1; i < k; ++i) {
+    expected_seeds.push_back(options.seed +
+                             static_cast<uint64_t>(i) * 0x9e3779b9ULL);
+  }
+  EXPECT_EQ(seeds, expected_seeds);
+  // Gains u / 2 tie in pairs: {32, 33} first, then 30 over 31. The
+  // first pick (argmin of the sampled diagonal) is node 0.
+  EXPECT_EQ(result->selected, (std::vector<NodeId>{0, 32, 33, 30}));
+  EXPECT_EQ(result->forests_per_iteration.size(), static_cast<std::size_t>(k));
+  for (int i = 1; i < k; ++i) EXPECT_EQ(result->forests_per_iteration[i], 7);
+  EXPECT_EQ(result->jl_rows, 5);
+  EXPECT_EQ(result->rescored_candidates, (n - 1) + (n - 2) + (n - 3));
+  EXPECT_EQ(result->heap_pops, 0);
+  EXPECT_EQ(result->forests_reused, 0);
+}
+
 // ------------------------------------------ in-round escalation replay
 
 TEST(LazyForestReuseTest, EscalationReplaysWithinRoundArena) {
@@ -245,6 +298,59 @@ TEST(LazyWorkCountersTest, SchurCountersPinnedOnBarabasiAlbert2000) {
   EXPECT_EQ(r->rescored_candidates, 6593);
   EXPECT_EQ(r->heap_pops, 6593);
   EXPECT_EQ(r->forests_reused, 61);
+}
+
+// ------------------------------------- exhaustive result pins (§13)
+//
+// The whole exhaustive CfcmResult (all but `seconds`) of one weighted
+// trajectory per sampled solver. The exhaustive scan is the reference
+// every lazy test compares against, so its round seeds, full-scan
+// scoring, argmax and counters are pinned field by field.
+
+void ExpectExhaustiveResult(const CfcmResult& r,
+                            const std::vector<NodeId>& selected,
+                            std::int64_t total_walk_steps, int jl_rows,
+                            int auxiliary_roots) {
+  EXPECT_EQ(r.selected, selected);
+  EXPECT_EQ(r.forests_per_iteration, std::vector<int>(12, 122));
+  EXPECT_EQ(r.total_forests, 12 * 122);
+  EXPECT_EQ(r.total_walk_steps, total_walk_steps);
+  EXPECT_EQ(r.solver_calls, 0);
+  EXPECT_EQ(r.jl_rows, jl_rows);
+  EXPECT_EQ(r.auxiliary_roots, auxiliary_roots);
+  // Rounds 2..12 each scan every candidate outside S: sum of (n - i).
+  EXPECT_EQ(r.rescored_candidates, 11 * 2000 - 66);
+  EXPECT_EQ(r.heap_pops, 0);
+  EXPECT_EQ(r.forests_reused, 0);
+  EXPECT_EQ(r.forests_resampled, 0);
+  EXPECT_EQ(r.swap_moves, 0);
+  EXPECT_FALSE(r.warm_started);
+  EXPECT_FALSE(r.cold_fallback);
+  EXPECT_TRUE(r.solver_backend.empty());
+}
+
+CfcmOptions ExhaustivePinOpts() {
+  CfcmOptions options = Opts(1, SelectionMode::kExhaustive);
+  options.eps = 0.3;
+  return options;
+}
+
+TEST(ExhaustiveWorkCountersTest, ForestPinnedOnWeightedBarabasiAlbert2000) {
+  const Graph g = AssignUniformWeights(BarabasiAlbert(2000, 4, 1), 0.5, 2.0, 7);
+  const auto r = ForestCfcmMaximize(g, 12, ExhaustivePinOpts());
+  ASSERT_TRUE(r.ok());
+  ExpectExhaustiveResult(
+      *r, {82, 24, 272, 1, 28, 99, 1063, 166, 6, 126, 0, 653}, 3585225,
+      /*jl_rows=*/22, /*auxiliary_roots=*/0);
+}
+
+TEST(ExhaustiveWorkCountersTest, SchurPinnedOnWeightedBarabasiAlbert2000) {
+  const Graph g = AssignUniformWeights(BarabasiAlbert(2000, 4, 1), 0.5, 2.0, 7);
+  const auto r = SchurCfcmMaximize(g, 12, ExhaustivePinOpts());
+  ASSERT_TRUE(r.ok());
+  ExpectExhaustiveResult(
+      *r, {82, 1, 4, 6, 0, 2, 949, 1955, 501, 331, 1267, 1921}, 3357622,
+      /*jl_rows=*/22, /*auxiliary_roots=*/37);
 }
 
 // ------------------------------- weighted hub order (SchurCFCM T roots)

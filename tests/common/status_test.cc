@@ -54,6 +54,16 @@ TEST(StatusOrTest, ArrowOperator) {
   EXPECT_EQ(v->size(), 3u);
 }
 
+// Reading the value of an error StatusOr must abort with the status in
+// every build type (a Release build compiles out assert()).
+TEST(StatusOrDeathTest, ValueOnErrorAbortsWithStatus) {
+  StatusOr<std::string> v(Status::NotFound("missing graph"));
+  EXPECT_DEATH((void)v.value(), "NotFound: missing graph");
+  EXPECT_DEATH((void)*v, "NotFound: missing graph");
+  EXPECT_DEATH((void)v->size(), "NotFound: missing graph");
+  EXPECT_DEATH((void)std::move(v).value(), "NotFound: missing graph");
+}
+
 TEST(StatusTest, ReturnIfErrorMacroPropagates) {
   auto inner = []() { return Status::IoError("disk"); };
   auto outer = [&]() -> Status {

@@ -34,7 +34,6 @@ TEST(BernsteinTest, GrowsAsDeltaShrinks) {
 
 TEST(BernsteinTest, InfiniteOnZeroSamples) {
   EXPECT_TRUE(std::isinf(EmpiricalBernsteinHalfWidth(0, 0, 0, 1.0, 0.1)));
-  EXPECT_TRUE(std::isinf(VarianceHalfWidth(0, 0, 0, 0.1)));
 }
 
 TEST(BernsteinTest, CoversTrueMeanEmpirically) {
@@ -56,20 +55,6 @@ TEST(BernsteinTest, CoversTrueMeanEmpirically) {
     if (std::fabs(sum / kPerRep - 0.5) <= h) ++covered;
   }
   EXPECT_GE(covered, static_cast<int>(0.95 * kReps));
-}
-
-TEST(BernsteinTest, VarianceHalfWidthIsSmallerThanFull) {
-  const double full = EmpiricalBernsteinHalfWidth(50, 25, 20, 3.0, 0.1);
-  const double var_only = VarianceHalfWidth(50, 25, 20, 0.1);
-  EXPECT_LT(var_only, full);
-}
-
-TEST(HoeffdingTest, SampleBoundMatchesFormula) {
-  // r >= range^2 log(2/delta) / (2 eps^2).
-  EXPECT_NEAR(HoeffdingSampleBound(2.0, 0.1, 0.05),
-              4.0 * std::log(40.0) / 0.02, 1e-9);
-  EXPECT_GT(HoeffdingSampleBound(2.0, 0.05, 0.05),
-            HoeffdingSampleBound(2.0, 0.1, 0.05));
 }
 
 TEST(EstimatorOptionsTest, JlRowsClampedAndOverridable) {

@@ -63,6 +63,14 @@ TEST(GraphBuilderTest, BuildGraphHelperRoundTrips) {
   EXPECT_TRUE(g.HasEdge(1, 2));
 }
 
+// The convenience builders fail loudly on invalid input in every build
+// type instead of returning a graph read from an error result.
+TEST(GraphBuilderDeathTest, BuildHelpersAbortOnInvalidInput) {
+  EXPECT_DEATH(BuildGraph(4, {{-1, 2}}), "InvalidArgument: negative node id");
+  EXPECT_DEATH(BuildWeightedGraph(2, {{0, 1, -1.0}}),
+               "InvalidArgument: edge conductances must be positive");
+}
+
 TEST(GraphBuilderTest, CountsAddedEdgesBeforeDedup) {
   GraphBuilder builder;
   builder.AddEdge(0, 1);

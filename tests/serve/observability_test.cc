@@ -7,6 +7,7 @@
 // also feed it, so every numeric assertion here is a delta or a lower
 // bound, never an absolute equality against the whole-process total.
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,6 +111,37 @@ TEST(ObservabilityTest, FlightzRequestsHaveTheirOwnSeries) {
   const JsonValue last = Call(handler, R"({"op":"metrics"})");
   EXPECT_EQ(CounterOrZero(*last.Find("counters"), "serve.other.requests"),
             other_before + 1);
+}
+
+// Every op of the protocol's op table moves exactly its own
+// serve.<op>.requests series (not serve.other.*), whether the request
+// succeeds or is rejected; an unknown op moves only serve.other.* and
+// its error lists the table's ops. Read straight from the registry, so
+// the metrics op's own request does not skew its delta.
+TEST(ObservabilityTest, EveryTableOpHasItsOwnRequestSeries) {
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& other = registry.counter("serve.other.requests");
+  const std::vector<std::string_view> ops = ServeHandler::OpNames();
+  ASSERT_EQ(ops.size(), 10u);
+  ServeHandler handler{{}};
+  for (std::string_view op : ops) {
+    obs::Counter& own =
+        registry.counter("serve." + std::string(op) + ".requests");
+    const uint64_t own_before = own.value();
+    const uint64_t other_before = other.value();
+    Call(handler, R"({"op":")" + std::string(op) + R"("})");
+    EXPECT_EQ(own.value(), own_before + 1) << op;
+    EXPECT_EQ(other.value(), other_before) << op;
+  }
+
+  const uint64_t other_before = other.value();
+  const JsonValue unknown = Call(handler, R"({"op":"no-such-op"})");
+  EXPECT_EQ(other.value(), other_before + 1);
+  const JsonValue* error = unknown.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(StrField(*error, "message"),
+            "unknown op 'no-such-op' (expected load/unload/solve/evaluate/"
+            "mutate/augment/stats/metrics/flightz/shutdown)");
 }
 
 TEST(ObservabilityTest, MetricsOpPrometheusFormat) {

@@ -8,6 +8,7 @@
 
 #include "cfcm/schur_cfcm.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "estimators/phi_estimators.h"
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
@@ -146,7 +147,8 @@ void BM_CgGroundedSolve(benchmark::State& state) {
 BENCHMARK(BM_CgGroundedSolve)->Arg(1000)->Arg(10000);
 
 // Hutchinson C(S) evaluation on the lane-blocked CG kernel: BA(n, 4),
-// S = the first |S| nodes, args (n, probes, |S|).
+// S = the first |S| nodes, args (n, probes, |S|, pool threads). The
+// estimate is bit-identical at every pool size; only the time moves.
 void BM_HutchinsonTrace(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));
   const int probes = static_cast<int>(state.range(1));
@@ -155,15 +157,17 @@ void BM_HutchinsonTrace(benchmark::State& state) {
   for (std::size_t i = 0; i < group.size(); ++i) {
     group[i] = static_cast<NodeId>(i);
   }
+  cfcm::ThreadPool pool(static_cast<std::size_t>(state.range(3)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cfcm::HutchinsonTraceInverse(g, group, probes, 1).trace);
+        cfcm::HutchinsonTraceInverse(g, group, probes, 1, {}, &pool).trace);
   }
 }
 BENCHMARK(BM_HutchinsonTrace)
-    ->Args({2000, 64, 8})
-    ->Args({4000, 128, 12})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{2000}, {64}, {8}, {1, 2, 4}})
+    ->ArgsProduct({{4000}, {128}, {12}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_LdltFactorize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -35,6 +35,12 @@ struct ApproxGreedyResult {
 /// (L_{-S}^{-1})_uu = ||B~ L_{-S}^{-1} e_u||^2 (w more solves), where
 /// B~^T B~ = L_{-S} augments the interior incidence rows with sqrt(b_u)
 /// boundary rows.
+///
+/// Each step's w solves run through the lane-blocked CG across
+/// ResolveSamplingPool(options), in chunks of at most 4 * kCgLanes
+/// systems per pool thread, folded in index order, so the selection, cg_iterations and
+/// solver_calls are bit-identical at every pool size. A chunk's solutions
+/// (8 n bytes each) are kept until its fold.
 StatusOr<ApproxGreedyResult> ApproxGreedyMaximize(const Graph& graph, int k,
                                                   const CfcmOptions& options,
                                                   const CgOptions& cg = {});

@@ -56,18 +56,19 @@ std::vector<double> ExactPrefixTraces(const Graph& graph,
 
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
-                                uint64_t seed, const CgOptions& cg) {
+                                uint64_t seed, const CgOptions& cg,
+                                ThreadPool* pool) {
   return ApproximateGroupCfcc(graph, group, probes, seed, SolverBackend::kCg,
-                              cg);
+                              cg, pool);
 }
 
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
                                 uint64_t seed, SolverBackend backend,
-                                const CgOptions& cg) {
+                                const CgOptions& cg, ThreadPool* pool) {
   assert(!group.empty());
   const TraceEstimate est =
-      HutchinsonTraceInverse(graph, group, probes, seed, backend, cg);
+      HutchinsonTraceInverse(graph, group, probes, seed, backend, cg, pool);
   ApproxCfcc out;
   out.trace = est.trace;
   out.trace_std_error = est.std_error;

@@ -29,6 +29,9 @@ std::vector<double> ExactPrefixTraces(const Graph& graph,
 /// \brief Approximate group CFCC for large graphs: Hutchinson probing of
 /// Tr(L_{-S}^{-1}) with CG solves (the paper's Section V-B.2 evaluation
 /// protocol). Returns C(S) and the probe standard error of the trace.
+/// The probes' CG solves run across `pool`, or the shared process pool
+/// when it is null (the CfcmOptions::pool convention); the result is
+/// bit-identical at every pool size.
 struct ApproxCfcc {
   double cfcc = 0.0;
   double trace = 0.0;
@@ -36,16 +39,19 @@ struct ApproxCfcc {
 };
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
-                                uint64_t seed, const CgOptions& cg = {});
+                                uint64_t seed, const CgOptions& cg = {},
+                                ThreadPool* pool = nullptr);
 
 /// Backend-aware overload: kAuto/kCg keep the pinned CG path (probes
-/// advanced kCgLanes at a time, each bit-identical to its own CG solve);
-/// kSparseLdlt/kDense factor L_{-S} once and run the probes as direct
-/// solves (same probe vectors — see linalg/hutchinson.h).
+/// advanced kCgLanes per executor across `pool`, each bit-identical to
+/// its own CG solve); kSparseLdlt/kDense factor L_{-S} once and run the
+/// probes as direct solves on the caller (same probe vectors — see
+/// linalg/hutchinson.h).
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
                                 uint64_t seed, SolverBackend backend,
-                                const CgOptions& cg = {});
+                                const CgOptions& cg = {},
+                                ThreadPool* pool = nullptr);
 
 /// Validates common CFCM preconditions: connected graph, 1 <= k < n.
 Status ValidateCfcmArguments(const Graph& graph, int k);

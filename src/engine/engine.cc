@@ -322,8 +322,11 @@ StatusOr<EvaluateJobResult> Engine::EvaluateGroup(
     result.cfcc = static_cast<double>(n) / result.trace;
     result.solver_backend = SolverBackendName(resolved);
   } else {
+    // The probes' CG solves run on the session pool (--threads, the
+    // catalog's thread count); the estimate is the same at every size.
     const ApproxCfcc approx =
-        ApproximateGroupCfcc(snapshot.graph(), group, probes, seed, backend);
+        ApproximateGroupCfcc(snapshot.graph(), group, probes, seed, backend,
+                             CgOptions{}, &session_->pool());
     result.cfcc = approx.cfcc;
     result.trace = approx.trace;
     result.trace_std_error = approx.trace_std_error;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "runtime/shared_pool.h"
 
 namespace cfcm {
 
@@ -42,7 +44,7 @@ TraceEstimate Summarize(const std::vector<double>& samples) {
 TraceEstimate HutchinsonTraceInverse(const Graph& graph,
                                      const std::vector<NodeId>& removed,
                                      int probes, uint64_t seed,
-                                     const CgOptions& cg) {
+                                     const CgOptions& cg, ThreadPool* pool) {
   assert(!removed.empty());
   assert(probes >= 1);
   const std::size_t n = static_cast<std::size_t>(graph.num_nodes());
@@ -60,17 +62,22 @@ TraceEstimate HutchinsonTraceInverse(const Graph& graph,
                     : (rng.NextBool() ? 1.0 : -1.0);
     }
   };
+  // load/store run concurrently on distinct probes: each writes only its
+  // own slots.
   std::vector<double> samples(static_cast<std::size_t>(probes));
-  std::int64_t iterations = 0;
-  Vector z(n);
+  std::vector<int> probe_iterations(static_cast<std::size_t>(probes));
   SolveGroundedBlock(
       op, probes, [&](int p, Vector* b, Vector*) { fill_probe(p, b); },
       [&](int p, const Vector& x, const CgSummary& summary) {
+        Vector z(n);
         fill_probe(p, &z);
         samples[static_cast<std::size_t>(p)] = Dot(z, x);
-        iterations += summary.iterations;
+        probe_iterations[static_cast<std::size_t>(p)] = summary.iterations;
       },
-      cg);
+      pool != nullptr ? *pool : SharedThreadPool(0), cg);
+  const std::int64_t iterations =
+      std::accumulate(probe_iterations.begin(), probe_iterations.end(),
+                      std::int64_t{0});
   CgIterationsCounter().Add(static_cast<uint64_t>(iterations));
   TraceEstimate est = Summarize(samples);
   est.cg_iterations = iterations;
@@ -81,16 +88,16 @@ TraceEstimate HutchinsonTraceInverse(const Graph& graph,
                                      const std::vector<NodeId>& removed,
                                      int probes, uint64_t seed,
                                      SolverBackend backend,
-                                     const CgOptions& cg) {
+                                     const CgOptions& cg, ThreadPool* pool) {
   if (backend == SolverBackend::kAuto || backend == SolverBackend::kCg) {
-    return HutchinsonTraceInverse(graph, removed, probes, seed, cg);
+    return HutchinsonTraceInverse(graph, removed, probes, seed, cg, pool);
   }
   assert(!removed.empty());
   assert(probes >= 1);
   auto solver = MakeGroundedSolver(graph, removed, backend, cg);
   assert(solver.ok() && "L_{-S} is SPD for connected graphs");
   if (!solver.ok()) {
-    return HutchinsonTraceInverse(graph, removed, probes, seed, cg);
+    return HutchinsonTraceInverse(graph, removed, probes, seed, cg, pool);
   }
   const NodeId n = graph.num_nodes();
   std::vector<char> mask(static_cast<std::size_t>(n), 0);

@@ -1,12 +1,14 @@
 #include "linalg/solver.h"
 
 #include <functional>
+#include <numeric>
 #include <utility>
 
 #include "linalg/laplacian.h"
 #include "linalg/ldlt.h"
 #include "linalg/sparse_ldlt.h"
 #include "obs/metrics.h"
+#include "runtime/shared_pool.h"
 
 namespace cfcm {
 
@@ -157,20 +159,23 @@ class CgSolver final : public LaplacianSolver {
   // Solves `count` systems through the lane-blocked kernel: `fill`
   // writes column j's right-hand side into a zeroed full-length vector,
   // `take` reads its full-length solution. Each column is bit-identical
-  // to Solve() on it.
+  // to Solve() on it. MakeGroundedSolver takes no pool, so the columns
+  // run on the shared 1-thread pool, inline on the caller.
   void SolveColumns(
       int count, const std::function<void(int, Vector*)>& fill,
       const std::function<void(int, const Vector&)>& take) const {
-    std::int64_t iterations = 0;
+    std::vector<int> iterations(static_cast<std::size_t>(count));
     SolveGroundedBlock(
         op_, count, [&](int j, Vector* b, Vector*) { fill(j, b); },
         [&](int j, const Vector& x, const CgSummary& summary) {
           take(j, x);
-          iterations += summary.iterations;
+          iterations[static_cast<std::size_t>(j)] = summary.iterations;
         },
-        options_);
+        SharedThreadPool(1), options_);
     SolvesCounter().Add(static_cast<uint64_t>(count));
-    CgIterationsCounter().Add(static_cast<uint64_t>(iterations));
+    CgIterationsCounter().Add(static_cast<uint64_t>(
+        std::accumulate(iterations.begin(), iterations.end(),
+                        std::int64_t{0})));
   }
 
   LaplacianSubmatrixOp op_;

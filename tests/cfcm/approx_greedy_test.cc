@@ -4,6 +4,7 @@
 
 #include "cfcm/cfcc.h"
 #include "cfcm/exact_greedy.h"
+#include "common/thread_pool.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -75,6 +76,43 @@ TEST(ApproxGreedyTest, FirstPickIsGoodSingleNode) {
     c_best = std::max(c_best, ExactGroupCfcc(g, {u}));
   }
   EXPECT_GE(c_picked, 0.97 * c_best);
+}
+
+// Each step's solves run across the sampling pool and are folded in
+// index order: the selection and both work counters are pinned at 1, 2
+// and 8 threads. The values were recorded from the one-solve-at-a-time
+// loop that the pool-parallel block path replaced.
+class ApproxGreedyThreadTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, ApproxGreedyThreadTest,
+                         ::testing::Values(1u, 2u, 8u));
+
+TEST_P(ApproxGreedyThreadTest, SelectionAndCountersPinnedAtEveryPoolSize) {
+  struct Pin {
+    bool weighted;
+    std::vector<NodeId> selected;
+    std::int64_t cg_iterations;
+  };
+  const Pin pins[] = {
+      {false, {5, 10, 0, 293, 2, 494}, 4951},
+      {true, {5, 10, 3, 0, 346, 336}, 5136},
+  };
+  const Graph unit = BarabasiAlbert(500, 3, 2);
+  const Graph weighted = AssignUniformWeights(unit, 0.5, 2.0, 7);
+  ThreadPool pool(GetParam());
+  CfcmOptions opts;
+  opts.eps = 0.3;
+  opts.seed = 3;
+  opts.pool = &pool;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.weighted ? "weighted" : "unit");
+    auto result =
+        ApproxGreedyMaximize(pin.weighted ? weighted : unit, 6, opts);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->selected, pin.selected);
+    EXPECT_EQ(result->cg_iterations, pin.cg_iterations);
+    EXPECT_EQ(result->solver_calls, 198);  // w = 18: 18 + 5 * 2 * 18
+  }
 }
 
 }  // namespace

@@ -157,6 +157,7 @@ TEST(CgTest, BlockSolveEqualsPerColumnSolvesBitwise) {
     b[5] = b[4];
     SolveGroundedLaplacian(op, b[4], &x0[5]);
 
+    ThreadPool serial(1);
     for (const CgOptions& options : {CgOptions{}, capped}) {
       std::vector<Vector> block_x(count);
       std::vector<CgSummary> block_summary(count);
@@ -172,7 +173,7 @@ TEST(CgTest, BlockSolveEqualsPerColumnSolvesBitwise) {
             block_summary[j] = summary;
             ++stores[j];
           },
-          options);
+          serial, options);
       bool capped_some = false;
       for (int j = 0; j < count; ++j) {
         SCOPED_TRACE(testing::Message() << "column " << j << " cap "

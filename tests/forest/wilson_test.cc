@@ -9,6 +9,7 @@
 
 #include "graph/builder.h"
 #include "graph/datasets.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "linalg/laplacian.h"
 #include "linalg/schur_exact.h"
@@ -129,6 +130,24 @@ TEST(WilsonTest, SampleDigestWeighted) {
   const Graph g = AssignUniformWeights(BarabasiAlbert(1000, 4, 5), 0.5, 2.0, 7);
   const uint64_t digest = SampleDigest(g);
   EXPECT_EQ(digest, 0x067b4328cc5d4151ULL) << std::hex << digest;
+}
+
+// A unit graph with ten edges reweighted: the weighted walk runs, but
+// almost every row still holds only 1.0 conductances, so the draw meets
+// both unit rows and genuinely weighted ones.
+TEST(WilsonTest, SampleDigestMostlyUnitWeights) {
+  const Graph base = BarabasiAlbert(1000, 4, 5);
+  const std::vector<std::pair<NodeId, NodeId>> edges = base.Edges();
+  GraphDelta delta;
+  for (int i = 0; i < 10; ++i) {
+    const auto [u, v] = edges[static_cast<std::size_t>(i) * 397];
+    delta.ReweightEdge(u, v, 0.5 + 0.375 * i);
+  }
+  StatusOr<Graph> g = base.Apply(delta);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_FALSE(g->is_unit_weighted());
+  const uint64_t digest = SampleDigest(*g);
+  EXPECT_EQ(digest, 0x4b59421cc3a45598ULL) << std::hex << digest;
 }
 
 TEST(WilsonTest, TreeGraphHasUniqueForest) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +110,31 @@ TEST(GraphDeltaTest, AllOnesResultDegradesToUnitWeighted) {
   ASSERT_TRUE(next.ok());
   EXPECT_TRUE(next->is_unit_weighted());
   ExpectSameBits(*next, BuildGraph(3, {{0, 1}, {1, 2}}));
+}
+
+// Each added conductance is finite, but their sum need not be: an
+// overflowing sum must be rejected like any other infinite conductance,
+// never installed in the snapshot.
+TEST(GraphDeltaTest, SummedConductanceOverflowIsRejected) {
+  const Graph base = BuildGraph(3, {{0, 1}, {1, 2}});
+  const std::string expected =
+      "edge conductances must be positive and finite, got inf";
+
+  GraphDelta two_adds;
+  two_adds.AddEdge(0, 2, 1e308);
+  two_adds.AddEdge(2, 0, 1e308);
+  StatusOr<Graph> next = base.Apply(two_adds);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(next.status().message(), expected);
+
+  GraphDelta reweight_then_add;
+  reweight_then_add.ReweightEdge(0, 1, 1e308);
+  reweight_then_add.AddEdge(1, 0, 1e308);
+  next = base.Apply(reweight_then_add);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(next.status().message(), expected);
 }
 
 TEST(GraphDeltaTest, AddNodesAppendsIsolatedIds) {

@@ -4,6 +4,7 @@
 // proof — byte-identical hit before mutation, guaranteed miss after,
 // hit again after the inverse delta.
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -166,6 +167,32 @@ TEST(DynamicServeTest, MutateValidationErrorsComeBackStructured) {
     EXPECT_EQ(session.Find("epoch")->as_int(), 0);
     EXPECT_FALSE(session.Find("mutated")->as_bool());
   }
+}
+
+// Two finite conductances whose sum overflows: the wire error is the
+// builder's invalid_argument, and the session keeps its snapshot.
+TEST(DynamicServeTest, MutateWithOverflowingConductanceSumIsRejected) {
+  ServeHandler handler{{}};
+  const JsonValue loaded =
+      handler.HandleLine(R"({"op":"load","graph":"g","source":"karate"})");
+  ASSERT_EQ(Field(loaded, "status"), "ok") << loaded.Serialize();
+  const std::string fingerprint = Field(loaded, "fingerprint");
+  ASSERT_FALSE(fingerprint.empty());
+
+  const JsonValue overflow = handler.HandleLine(
+      R"({"op":"mutate","graph":"g","add":[[0,9,1e308],[9,0,1e308]]})");
+  EXPECT_EQ(Field(overflow, "status"), "error") << overflow.Serialize();
+  EXPECT_EQ(Field(*overflow.Find("error"), "code"), "invalid_argument");
+  EXPECT_EQ(Field(*overflow.Find("error"), "message"),
+            "edge conductances must be positive and finite, got inf");
+
+  auto session = handler.catalog().Acquire("g");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ((*session)->epoch(), 0u);
+  char current[32];
+  std::snprintf(current, sizeof(current), "%016llx",
+                static_cast<unsigned long long>((*session)->fingerprint()));
+  EXPECT_EQ(std::string(current), fingerprint);
 }
 
 TEST(DynamicServeTest, AugmentOpServesGreedyEdgeAdditionAndApplies) {

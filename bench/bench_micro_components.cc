@@ -1,8 +1,10 @@
 // Google-benchmark micro suite: throughput of the substrate components
 // (Wilson sampling, subtree accumulation, prefix passes, CG, Hutchinson
-// probing, LDLT, JL),
+// probing, LDLT, JL, Graph::Apply),
 // including the Schur-root ablation at the kernel level.
 #include <map>
+#include <set>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
 #include "forest/wilson.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "linalg/cg.h"
 #include "linalg/hutchinson.h"
@@ -25,11 +28,12 @@ namespace {
 using cfcm::Graph;
 using cfcm::NodeId;
 
-const Graph& SharedBaGraph(NodeId n) {
-  static auto* cache = new std::map<NodeId, Graph>();
-  auto it = cache->find(n);
+const Graph& SharedBaGraph(NodeId n, int m = 3) {
+  static auto* cache = new std::map<std::pair<NodeId, int>, Graph>();
+  auto it = cache->find({n, m});
   if (it == cache->end()) {
-    it = cache->emplace(n, cfcm::BarabasiAlbert(n, 3, 7)).first;
+    it = cache->emplace(std::make_pair(n, m), cfcm::BarabasiAlbert(n, m, 7))
+             .first;
   }
   return it->second;
 }
@@ -62,6 +66,27 @@ void BM_WilsonHubRoots(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
 BENCHMARK(BM_WilsonHubRoots)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// BM_WilsonHubRoots after one edge is reweighted: the whole graph takes
+// the weighted walk, but all rows except the edge's two endpoints still
+// hold only 1.0 conductances and draw their step without the search.
+void BM_WilsonHubRootsReweighted1(benchmark::State& state) {
+  const Graph& unit = SharedBaGraph(static_cast<NodeId>(state.range(0)));
+  const NodeId hub = unit.MaxDegreeNode();
+  cfcm::GraphDelta delta;
+  delta.ReweightEdge(hub, unit.neighbors(hub)[0], 1.5);
+  const Graph g = unit.Apply(delta).value();
+  std::vector<char> roots(static_cast<std::size_t>(g.num_nodes()), 0);
+  roots[hub] = 1;
+  for (NodeId t : cfcm::SelectAuxiliaryRoots(g, 4096)) roots[t] = 1;
+  cfcm::ForestSampler sampler(g);
+  cfcm::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.Sample(roots, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_WilsonHubRootsReweighted1)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_SubtreeJlSums(benchmark::State& state) {
   const Graph& g = SharedBaGraph(10000);
@@ -194,6 +219,71 @@ void BM_JlColumn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * w);
 }
 BENCHMARK(BM_JlColumn)->Arg(8)->Arg(24)->Arg(64);
+
+// Graph::Apply on BA(n, 4): the delta shapes a serving session sends.
+enum class DeltaShape { kReweight1, kChurn40, kNodeAdd };
+
+cfcm::GraphDelta MakeBenchDelta(const Graph& g, DeltaShape shape) {
+  cfcm::GraphDelta delta;
+  cfcm::Rng rng(5);
+  const auto n = static_cast<uint32_t>(g.num_nodes());
+  switch (shape) {
+    case DeltaShape::kReweight1: {
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+      delta.ReweightEdge(u, g.neighbors(u)[0], 1.5);
+      break;
+    }
+    case DeltaShape::kChurn40:
+      // 20 removals of existing edges plus 20 new edges.
+      for (std::set<uint64_t> removed; removed.size() < 20;) {
+        const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+        const NodeId v = g.neighbors(u)[0];
+        if (removed.insert(cfcm::UndirectedEdgeKey(u, v)).second) {
+          delta.RemoveEdge(u, v);
+        }
+      }
+      for (int added = 0; added < 20;) {
+        const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+        const NodeId v = static_cast<NodeId>(rng.NextBounded(n));
+        if (u == v || g.HasEdge(u, v)) continue;
+        delta.AddEdge(u, v, 1.0);
+        ++added;
+      }
+      break;
+    case DeltaShape::kNodeAdd:
+      // Eight new nodes, each wired to four existing ones.
+      delta.AddNodes(8);
+      for (NodeId x = 0; x < 8; ++x) {
+        for (int j = 0; j < 4; ++j) {
+          delta.AddEdge(g.num_nodes() + x,
+                        static_cast<NodeId>(rng.NextBounded(n)), 1.0);
+        }
+      }
+      break;
+  }
+  return delta;
+}
+
+void BM_GraphApply(benchmark::State& state, DeltaShape shape) {
+  const Graph& g = SharedBaGraph(static_cast<NodeId>(state.range(0)), 4);
+  const cfcm::GraphDelta delta = MakeBenchDelta(g, shape);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.Apply(delta));
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK_CAPTURE(BM_GraphApply, reweight1, DeltaShape::kReweight1)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GraphApply, churn40, DeltaShape::kChurn40)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GraphApply, node_add, DeltaShape::kNodeAdd)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -14,13 +14,18 @@ ForestSampler::ForestSampler(const Graph& graph) : graph_(graph) {
   if (!graph.is_unit_weighted()) {
     const auto& raw_w = graph.raw_weights();
     prefix_.resize(raw_w.size());
+    unit_row_.assign(n, 0);
     const auto& offsets = graph.offsets();
     for (NodeId u = 0; u < graph.num_nodes(); ++u) {
       double acc = 0;
+      bool unit = true;
       for (EdgeId k = offsets[u]; k < offsets[u + 1]; ++k) {
-        acc += raw_w[static_cast<std::size_t>(k)];
+        const double w = raw_w[static_cast<std::size_t>(k)];
+        acc += w;
+        unit = unit && w == 1.0;
         prefix_[static_cast<std::size_t>(k)] = acc;
       }
+      unit_row_[u] = unit;
     }
   }
 }
@@ -31,6 +36,7 @@ void ForestSampler::Walk(Rng* rng) {
   const EdgeId* offsets = graph_.offsets().data();
   const NodeId* nbrs = graph_.raw_neighbors().data();
   const double* prefix = prefix_.data();
+  const char* unit_row = unit_row_.data();
   char* in_forest = in_forest_.data();
   NodeId* parent = forest_.parent.data();
   std::int64_t steps = 0;
@@ -46,10 +52,16 @@ void ForestSampler::Walk(Rng* rng) {
       EdgeId k;
       if constexpr (kWeighted) {
         // First slot whose cumulative weight exceeds r; r < total almost
-        // surely, but clamp against rounding at the boundary.
+        // surely, but clamp against rounding at the boundary. On a row
+        // of 1.0 conductances the prefix sums are exactly 1, 2, ..., d,
+        // so that slot is floor(r): the same pick without the search.
         const double r = rng->NextDouble() * prefix[hi - 1];
-        const double* it = std::upper_bound(prefix + lo, prefix + hi, r);
-        k = it == prefix + hi ? hi - 1 : it - prefix;
+        if (unit_row[i]) {
+          k = lo + std::min(static_cast<EdgeId>(r), hi - lo - 1);
+        } else {
+          const double* it = std::upper_bound(prefix + lo, prefix + hi, r);
+          k = it == prefix + hi ? hi - 1 : it - prefix;
+        }
       } else {
         // Unit-weighted fast path: uniform neighbor, one bounded draw.
         k = lo + rng->NextBounded(static_cast<uint32_t>(hi - lo));

@@ -31,6 +31,10 @@ struct RootedForest {
 /// probability w_uv / d_w(u) via a per-node prefix-sum table built once
 /// at construction (O(log deg) binary search per step), so sampled
 /// forests follow the weighted forest measure Pr[F] ∝ prod_{e in F} w_e.
+/// Rows whose conductances are all exactly 1.0 (most rows of a unit
+/// graph with a few edges reweighted) skip the search: their prefix sums
+/// are exactly 1, 2, ..., d, so the slot is floor(r) in O(1), the same
+/// pick from the same draw.
 /// The walk loop is compiled once per path with the CSR arrays hoisted
 /// into locals, so a step is an inlined draw plus a neighbor load.
 class ForestSampler {
@@ -61,6 +65,8 @@ class ForestSampler {
   // aligned with the CSR layout (prefix_[k] = cumulative weight through
   // raw neighbor slot k within its node's list). Empty on unit graphs.
   std::vector<double> prefix_;
+  // Weighted walks only: 1 for rows whose conductances are all 1.0.
+  std::vector<char> unit_row_;
   std::int64_t last_walk_steps_ = 0;
 };
 

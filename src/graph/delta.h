@@ -1,9 +1,10 @@
 // Versioned mutation pipeline, graph layer: a GraphDelta batches edge
 // and node changes, and Graph::Apply(delta) materializes them as a NEW
-// immutable CSR snapshot (shared-nothing rebuild). The base graph is
-// never touched, so snapshots already handed to running jobs stay valid
-// — the property the engine's versioned sessions and the serving
-// layer's cache-soundness argument rest on (DESIGN.md §11).
+// immutable CSR snapshot, merging the delta into a copy of the base's
+// arrays in one O(n + m) pass. The base graph is never touched, so
+// snapshots already handed to running jobs stay valid — the property
+// the engine's versioned sessions and the serving layer's
+// cache-soundness argument rest on (DESIGN.md §11).
 #ifndef CFCM_GRAPH_DELTA_H_
 #define CFCM_GRAPH_DELTA_H_
 

@@ -126,10 +126,13 @@ class Graph {
   /// \brief Applies `delta` and returns a NEW immutable graph; this
   /// graph is untouched (copy-on-write snapshot semantics).
   ///
-  /// The result is rebuilt shared-nothing through GraphBuilder, so every
-  /// builder invariant carries over: sorted adjacency lists, duplicate
-  /// additions summing conductances, and degradation to a unit-weighted
-  /// graph whenever every surviving conductance is exactly 1.0.
+  /// The delta is merged into a copy of this graph's CSR arrays in one
+  /// node-order pass, O(n + m + |delta| log |delta|). The result is
+  /// byte-identical to rebuilding the edited edge set through
+  /// GraphBuilder: sorted adjacency lists, duplicate additions summing
+  /// conductances in delta order (an overflowing sum is rejected), and
+  /// degradation to a unit-weighted graph whenever every surviving
+  /// conductance is exactly 1.0.
   /// Validation errors (missing edge removal/reweight, non-positive or
   /// non-finite weight, self-loop, endpoint outside the post-delta node
   /// range) reject the whole delta — Apply is all-or-nothing.

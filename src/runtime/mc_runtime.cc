@@ -31,7 +31,10 @@ std::int64_t AwaitTurn(const std::atomic<int>& ticket, int relative_forest) {
 }  // namespace
 
 std::size_t McScratchSlots(const ThreadPool& pool) {
-  return pool.num_threads() + 1;
+  // A single-worker pool runs its loops inline on the caller: one
+  // executor, one slot.
+  const std::size_t workers = pool.num_threads();
+  return workers == 1 ? 1 : workers + 1;
 }
 
 McRunStats RunForestBatch(ThreadPool& pool, const McRunOptions& options,

@@ -93,7 +93,8 @@ struct McRunStats {
 };
 
 /// Number of scratch slots a kernel must provision to run on `pool`
-/// (every pool worker plus the calling thread can execute chunks).
+/// (every pool worker plus the calling thread can execute chunks; a
+/// single-worker pool runs inline on the caller, so it needs one).
 std::size_t McScratchSlots(const ThreadPool& pool);
 
 /// \brief Runs forests [base_forest, base_forest + count) through

@@ -178,7 +178,7 @@ std::pair<NodeId, NodeId> DrawEdge(Rng& rng, const std::vector<WeightedEdge>& ed
   return rng.NextBool() ? std::make_pair(e.u, e.v) : std::make_pair(e.v, e.u);
 }
 
-// One invalid operation, appended to whichever phase `kind` names.
+// Appends one invalid operation of a randomly drawn kind.
 void AddInvalidOperation(Rng& rng, const Graph& g, NodeId n_new,
                          GraphDelta* delta) {
   const NodeId n = g.num_nodes();

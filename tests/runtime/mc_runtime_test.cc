@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,10 @@ class RecordingKernel final : public ForestKernel {
                              std::uint64_t forest_index) override {
     current_[slot] = static_cast<int>(forest_index);
     processed_[forest_index].fetch_add(1);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slots_used_.insert(slot);
+    }
     return static_cast<std::int64_t>(forest_index) + 1;  // fake walk cost
   }
 
@@ -55,6 +60,7 @@ class RecordingKernel final : public ForestKernel {
   std::vector<std::pair<NodeId, NodeId>> covered_;
   std::vector<std::vector<int>> commit_order_;  // per shard
   std::vector<int> tail_order_;
+  std::set<std::size_t> slots_used_;
   NodeId shard_width_ = 1;
 };
 
@@ -214,6 +220,25 @@ TEST(McRuntimeTest, SingleWorkerPoolNeverYieldsInTheTurnstile) {
 TEST(McRuntimeTest, ScratchSlotsCoverPoolPlusCaller) {
   ThreadPool pool(3);
   EXPECT_EQ(McScratchSlots(pool), 4u);
+}
+
+// A single-worker pool runs ParallelFor inline on the caller, so every
+// chunk of a batch lands on slot 0 and one slot is all it needs.
+TEST(McRuntimeTest, ScratchSlotsSingleWorkerPoolRunsInline) {
+  ThreadPool pool(1);
+  ASSERT_EQ(McScratchSlots(pool), 1u);
+  RecordingKernel kernel(6, 1);
+  kernel.set_shard_width(6);
+  McRunOptions options;
+  options.num_nodes = 6;
+  options.chunk_forests = 2;
+  options.shard_nodes = 6;
+  RunForestBatch(pool, options, 0, 16, kernel);
+  EXPECT_EQ(kernel.slots_used_, std::set<std::size_t>{0});
+  ASSERT_EQ(kernel.tail_order_.size(), 16u);
+  for (std::size_t i = 0; i < kernel.tail_order_.size(); ++i) {
+    EXPECT_EQ(kernel.tail_order_[i], static_cast<int>(i));
+  }
 }
 
 }  // namespace

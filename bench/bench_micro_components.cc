@@ -11,6 +11,7 @@
 #include "cfcm/schur_cfcm.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "engine/session.h"
 #include "estimators/phi_estimators.h"
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
@@ -281,6 +282,37 @@ BENCHMARK_CAPTURE(BM_GraphApply, churn40, DeltaShape::kChurn40)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_GraphApply, node_add, DeltaShape::kNodeAdd)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// GraphFingerprint on BA(n, 4): what every fresh snapshot pays when the
+// serve layer reports (or cache-keys) it. `weighted` reweights one edge,
+// which stores a conductance per adjacency entry and so adds 2m doubles
+// to the hashed bytes.
+void BM_SnapshotFingerprint(benchmark::State& state, bool weighted) {
+  const Graph& unit = SharedBaGraph(static_cast<NodeId>(state.range(0)), 4);
+  Graph reweighted;
+  if (weighted) {
+    cfcm::GraphDelta delta;
+    delta.ReweightEdge(0, unit.neighbors(0)[0], 1.5);
+    reweighted = std::move(*unit.Apply(delta));
+  }
+  const Graph& g = weighted ? reweighted : unit;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cfcm::engine::GraphFingerprint(g));
+  }
+  const std::size_t bytes = g.offsets().size() * sizeof(cfcm::EdgeId) +
+                            g.raw_neighbors().size() * sizeof(NodeId) +
+                            g.raw_weights().size() * sizeof(double);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_SnapshotFingerprint, unit, false)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SnapshotFingerprint, weighted, true)
     ->Arg(2000)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);

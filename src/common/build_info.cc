@@ -21,7 +21,7 @@ constexpr const char* kBuildType = "debug";
 }  // namespace
 
 const BuildInfo& GetBuildInfo() {
-  static const BuildInfo info{"0.9.0", kCompiler, kBuildType, "c++20"};
+  static const BuildInfo info{"0.10.0", kCompiler, kBuildType, "c++20"};
   return info;
 }
 

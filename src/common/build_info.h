@@ -7,7 +7,7 @@
 namespace cfcm {
 
 struct BuildInfo {
-  const char* version;       ///< repo version, e.g. "0.9.0"
+  const char* version;       ///< repo version, e.g. "0.10.0"
   const char* compiler;      ///< toolchain family + version string
   const char* build_type;    ///< "release" (NDEBUG) or "debug"
   const char* cxx_standard;  ///< language level, e.g. "c++20"

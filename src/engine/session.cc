@@ -5,28 +5,33 @@
 #include <tuple>
 #include <utility>
 
+#include "common/hash.h"
 #include "graph/components.h"
 
 namespace cfcm::engine {
 
-namespace {
-
-// FNV-1a, the standard 64-bit offset basis / prime.
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
+uint64_t GraphFingerprint(const Graph& graph) {
+  const NodeId n = graph.num_nodes();
+  const EdgeId m = graph.num_edges();
+  ContentHasher hasher;
+  hasher.Update(&n, sizeof(n));
+  hasher.Update(&m, sizeof(m));
+  hasher.Update(graph.offsets().data(),
+                graph.offsets().size() * sizeof(EdgeId));
+  hasher.Update(graph.raw_neighbors().data(),
+                graph.raw_neighbors().size() * sizeof(NodeId));
+  hasher.Update(graph.raw_weights().data(),
+                graph.raw_weights().size() * sizeof(double));
+  return hasher.Digest();
 }
 
-}  // namespace
+GraphSnapshot::GraphSnapshot(Graph graph, std::optional<bool> connected)
+    : graph_(std::move(graph)), connected_(connected) {}
 
-GraphSnapshot::GraphSnapshot(Graph graph) : graph_(std::move(graph)) {}
+std::optional<bool> GraphSnapshot::known_connectivity() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return connected_;
+}
 
 bool GraphSnapshot::is_connected() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -71,20 +76,7 @@ const CsrMatrix& GraphSnapshot::laplacian() const {
 
 uint64_t GraphSnapshot::fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!fingerprint_.has_value()) {
-    const NodeId n = graph_.num_nodes();
-    const EdgeId m = graph_.num_edges();
-    uint64_t hash = kFnvOffset;
-    hash = FnvMix(hash, &n, sizeof(n));
-    hash = FnvMix(hash, &m, sizeof(m));
-    hash = FnvMix(hash, graph_.offsets().data(),
-                  graph_.offsets().size() * sizeof(EdgeId));
-    hash = FnvMix(hash, graph_.raw_neighbors().data(),
-                  graph_.raw_neighbors().size() * sizeof(NodeId));
-    hash = FnvMix(hash, graph_.raw_weights().data(),
-                  graph_.raw_weights().size() * sizeof(double));
-    fingerprint_ = hash;
-  }
+  if (!fingerprint_.has_value()) fingerprint_ = GraphFingerprint(graph_);
   return *fingerprint_;
 }
 
@@ -169,9 +161,22 @@ StatusOr<GraphSession::VersionedSnapshot> GraphSession::Mutate(
     }
   }
 
+  // Connectivity carries over when the delta cannot change it: a
+  // reweight keeps every conductance positive, and edges added between
+  // existing nodes cannot disconnect a connected graph. Only a flag the
+  // parent already holds is carried; other deltas run the BFS lazily.
+  std::optional<bool> connected = current->known_connectivity();
+  const bool adds_only_edges = delta.add_nodes() == 0 &&
+                               delta.remove_edges().empty() &&
+                               delta.reweight_edges().empty();
+  if (!record.boundable && !(adds_only_edges && connected.value_or(false))) {
+    connected.reset();
+  }
+
   StatusOr<Graph> next = current->graph().Apply(delta);
   if (!next.ok()) return next.status();
-  auto fresh = std::make_shared<const GraphSnapshot>(std::move(*next));
+  auto fresh =
+      std::make_shared<const GraphSnapshot>(std::move(*next), connected);
   record.parent_fingerprint = current->fingerprint();
 
   // Advance the warm state across the delta (classification of the

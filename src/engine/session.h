@@ -28,6 +28,17 @@ namespace cfcm::engine {
 /// rebuild.
 std::size_t EstimateSessionBytes(NodeId n, EdgeId m, bool weighted);
 
+/// \brief 64-bit content fingerprint of `graph`: ContentHash
+/// (common/hash.h, the xxHash64 construction) over one framed byte
+/// stream — n (int32), m (int64), then the CSR offsets (n + 1 int64),
+/// neighbours (2m int32) and conductances (2m doubles; none when the
+/// graph is unit-weighted), each array in host byte order.
+///
+/// A pure function of the CSR bytes: byte-identical graphs share a
+/// value, and an inverse delta restores it. GraphSnapshot::fingerprint()
+/// caches it.
+uint64_t GraphFingerprint(const Graph& graph);
+
 /// \brief One immutable graph version plus its lazily-built derived
 /// state (connectivity, degree order, CSR Laplacian, content
 /// fingerprint, memory charge).
@@ -42,7 +53,12 @@ std::size_t EstimateSessionBytes(NodeId n, EdgeId m, bool weighted);
 /// mutex) and idempotent.
 class GraphSnapshot {
  public:
-  explicit GraphSnapshot(Graph graph);
+  /// `connected`, when given, seeds the connectivity flag instead of
+  /// leaving it to a lazy BFS; the caller vouches that it equals
+  /// IsConnected(graph) (GraphSession::Mutate carries the parent's flag
+  /// across deltas that cannot change it).
+  explicit GraphSnapshot(Graph graph,
+                         std::optional<bool> connected = std::nullopt);
 
   const Graph& graph() const { return graph_; }
   NodeId num_nodes() const { return graph_.num_nodes(); }
@@ -51,6 +67,10 @@ class GraphSnapshot {
   /// True if the graph is connected (computed once, cached).
   bool is_connected() const;
 
+  /// The connectivity flag if already computed or seeded; never runs
+  /// the BFS.
+  std::optional<bool> known_connectivity() const;
+
   /// Node ids by descending degree, ties broken by smaller id (cached).
   const std::vector<NodeId>& degree_order() const;
 
@@ -58,8 +78,9 @@ class GraphSnapshot {
   /// (cached); the unweighted L = D - A when the graph is unit-weighted.
   const CsrMatrix& laplacian() const;
 
-  /// \brief 64-bit content fingerprint of the snapshot graph (FNV-1a
-  /// over the CSR arrays and conductances), computed once and cached.
+  /// \brief 64-bit content fingerprint of the snapshot graph
+  /// (GraphFingerprint: a word-lane content hash over n, m, the CSR
+  /// arrays and conductances), computed once and cached.
   ///
   /// Two snapshots over byte-identical graphs share a fingerprint, so it
   /// is the graph component of serving-layer cache keys: per-seed
@@ -143,7 +164,10 @@ class GraphSession {
   ///
   /// On success the epoch is bumped, every snapshot-derived value
   /// (connectivity, degree order, Laplacian, fingerprint, memory_bytes)
-  /// is re-derived lazily on the new snapshot, and the INSTALLED
+  /// is re-derived lazily on the new snapshot — except a connectivity
+  /// flag the parent already holds, which carries over a reweight-only
+  /// delta and an edge-add-only delta on a connected graph — and the
+  /// INSTALLED
   /// (snapshot, epoch) pair is returned — callers reporting what their
   /// delta produced use it rather than re-reading the session, which a
   /// concurrent mutation may already have moved past. On failure the

@@ -4,15 +4,19 @@
 // and AugmentJob as a first-class engine job.
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cfcm/edge_addition.h"
+#include "common/rng.h"
 #include "engine/engine.h"
 #include "engine/session.h"
 #include "graph/builder.h"
+#include "graph/components.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
 
@@ -88,6 +92,105 @@ TEST(DynamicSessionTest, DerivedStateIsEpochKeyedNeverStale) {
   cut.RemoveEdge(1, 2);
   ASSERT_TRUE(session.Mutate(cut).ok());
   EXPECT_FALSE(session.is_connected());
+}
+
+// Mutate carries the parent's connectivity flag over the deltas that
+// cannot change it — reweights, and edge adds on a connected graph —
+// but only when the parent already holds it; every other delta leaves
+// the flag to the lazy BFS. A carried flag must equal a fresh BFS.
+TEST(DynamicSessionTest, ConnectivityCarriesOnlyOverDeltasThatKeepIt) {
+  enum Kind { kReweight, kAddOnly, kChurn, kNodeAdd };
+  int carried_connected = 0, carried_disconnected = 0;
+  int add_only_on_disconnected = 0, bfs_left = 0;
+  for (const bool start_connected : {true, false}) {
+    GraphSession session{KarateClub(), 1};
+    if (!start_connected) {
+      GraphDelta isolated;
+      isolated.AddNodes(3);
+      ASSERT_TRUE(session.Mutate(isolated).ok());
+    }
+    Rng rng(start_connected ? 21 : 22);
+    for (int round = 0; round < 120; ++round) {
+      const std::shared_ptr<const GraphSnapshot> parent = session.snapshot();
+      const Graph& g = parent->graph();
+      const auto n = static_cast<uint32_t>(g.num_nodes());
+      if (rng.NextBounded(4) != 0) parent->is_connected();
+      const std::optional<bool> parent_flag = parent->known_connectivity();
+
+      auto random_edge = [&] {
+        NodeId u;
+        do {
+          u = static_cast<NodeId>(rng.NextBounded(n));
+        } while (g.degree(u) == 0);
+        const auto adj = g.neighbors(u);
+        return std::make_pair(
+            u, adj[rng.NextBounded(static_cast<uint32_t>(adj.size()))]);
+      };
+      auto add_random_edge = [&](GraphDelta* delta) {
+        for (;;) {
+          const auto u = static_cast<NodeId>(rng.NextBounded(n));
+          const auto v = static_cast<NodeId>(rng.NextBounded(n));
+          if (u == v || g.HasEdge(u, v)) continue;
+          delta->AddEdge(u, v, 0.5 + rng.NextDouble());
+          return;
+        }
+      };
+
+      const auto kind = static_cast<Kind>(rng.NextBounded(4));
+      GraphDelta delta;
+      switch (kind) {
+        case kReweight: {
+          const auto [u, v] = random_edge();
+          delta.ReweightEdge(u, v, 0.25 + 2.0 * rng.NextDouble());
+          break;
+        }
+        case kAddOnly:
+          for (uint32_t i = 0, adds = 1 + rng.NextBounded(3); i < adds; ++i) {
+            add_random_edge(&delta);
+          }
+          break;
+        case kChurn: {
+          const auto [u, v] = random_edge();
+          delta.RemoveEdge(u, v);
+          add_random_edge(&delta);
+          break;
+        }
+        case kNodeAdd:
+          delta.AddNodes(1);
+          if (rng.NextBounded(2) == 0) {
+            delta.AddEdge(g.num_nodes(), static_cast<NodeId>(
+                                             rng.NextBounded(n)));
+          }
+          break;
+      }
+      StatusOr<GraphSession::VersionedSnapshot> installed =
+          session.Mutate(delta);
+      ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+      const GraphSnapshot& child = *installed->snapshot;
+
+      const bool expect_carried =
+          parent_flag.has_value() &&
+          (kind == kReweight || (kind == kAddOnly && *parent_flag));
+      const std::optional<bool> flag = child.known_connectivity();
+      ASSERT_EQ(flag.has_value(), expect_carried)
+          << "round " << round << " kind " << kind;
+      if (flag.has_value()) {
+        ASSERT_EQ(*flag, IsConnected(child.graph())) << "round " << round;
+        ++(*flag ? carried_connected : carried_disconnected);
+      } else {
+        ++bfs_left;
+      }
+      if (kind == kAddOnly && parent_flag == false) {
+        ++add_only_on_disconnected;
+      }
+    }
+  }
+  // Every branch ran: carried flags of both values, add-only deltas on
+  // a known-disconnected parent, and deltas left to the BFS.
+  EXPECT_GT(carried_connected, 0);
+  EXPECT_GT(carried_disconnected, 0);
+  EXPECT_GT(add_only_on_disconnected, 0);
+  EXPECT_GT(bfs_left, 0);
 }
 
 TEST(DynamicSessionTest, SolversRejectDisconnectingMutation) {

@@ -124,6 +124,11 @@ StatusOr<JobResult> Engine::RunSolve(
     const SolveJob& job,
     const std::shared_ptr<const GraphSnapshot>& snapshot,
     obs::TraceContext* trace) const {
+  // The one eps check for every front end (CLI and serve alike). The
+  // negated form also rejects NaN.
+  if (!(job.eps > 0.0 && job.eps <= 1.0)) {
+    return Status::InvalidArgument("'eps' must be in (0, 1]");
+  }
   if (!snapshot->is_connected()) {
     return Status::FailedPrecondition(
         "session graph must be connected and non-empty");

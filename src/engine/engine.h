@@ -28,7 +28,8 @@ namespace cfcm::engine {
 struct SolveJob {
   std::string algorithm = "forest";  ///< SolverRegistry key
   int k = 1;
-  double eps = 0.2;      ///< error parameter (randomized solvers)
+  double eps = 0.2;      ///< error parameter in (0, 1] (randomized
+                         ///< solvers); RunSolve rejects any other value
   uint64_t seed = 1;     ///< full determinism per seed
   /// Greedy argmax strategy of the sampled solvers (DESIGN.md §13);
   /// the others ignore it.

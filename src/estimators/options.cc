@@ -26,8 +26,11 @@ int ResolveTargetForests(const EstimatorOptions& options, NodeId n,
   } else {
     const double derived =
         options.forest_factor / (options.eps * options.eps) * Log2N(n);
-    target = std::clamp(static_cast<int>(std::ceil(derived)),
-                        options.min_batch, options.max_forests);
+    // Clamp in double: past INT_MAX the int cast is undefined (a tiny eps
+    // wrapped to fewer forests than a larger one). fmin maps NaN to max.
+    target = static_cast<int>(
+        std::fmax(options.min_batch,
+                  std::fmin(std::ceil(derived), options.max_forests)));
   }
   if (forest_scale < 1.0) {
     target = std::max(std::max(1, options.min_batch),

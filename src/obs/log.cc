@@ -3,45 +3,17 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
+
+#include "common/json_escape.h"
 
 namespace cfcm::obs {
 
 namespace {
 
 std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarn)};
-
-void AppendEscaped(std::string* out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 std::string WallClockTimestamp() {
   const auto now = std::chrono::system_clock::now();
@@ -130,7 +102,7 @@ LogEvent::LogEvent(LogLevel level, std::string_view event)
   line_ += ",\"level\":\"";
   line_ += LogLevelName(level);
   line_ += "\",\"event\":\"";
-  AppendEscaped(&line_, event);
+  AppendJsonEscaped(&line_, event);
   line_ += '"';
 }
 
@@ -145,9 +117,9 @@ LogEvent::~LogEvent() {
 LogEvent& LogEvent::Str(std::string_view key, std::string_view value) {
   if (!enabled_) return *this;
   line_ += ",\"";
-  AppendEscaped(&line_, key);
+  AppendJsonEscaped(&line_, key);
   line_ += "\":\"";
-  AppendEscaped(&line_, value);
+  AppendJsonEscaped(&line_, value);
   line_ += '"';
   return *this;
 }
@@ -157,7 +129,7 @@ LogEvent& LogEvent::Int(std::string_view key, int64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, value);
   line_ += ",\"";
-  AppendEscaped(&line_, key);
+  AppendJsonEscaped(&line_, key);
   line_ += "\":";
   line_ += buf;
   return *this;
@@ -166,7 +138,7 @@ LogEvent& LogEvent::Int(std::string_view key, int64_t value) {
 LogEvent& LogEvent::Bool(std::string_view key, bool value) {
   if (!enabled_) return *this;
   line_ += ",\"";
-  AppendEscaped(&line_, key);
+  AppendJsonEscaped(&line_, key);
   line_ += "\":";
   line_ += value ? "true" : "false";
   return *this;
@@ -177,9 +149,10 @@ LogEvent& LogEvent::Double(std::string_view key, double value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   line_ += ",\"";
-  AppendEscaped(&line_, key);
+  AppendJsonEscaped(&line_, key);
   line_ += "\":";
-  line_ += buf;
+  // JSON has no NaN or infinity literal (the codec writes null too).
+  line_ += std::isfinite(value) ? buf : "null";
   return *this;
 }
 

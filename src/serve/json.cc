@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_escape.h"
+
 namespace cfcm::serve {
 namespace {
 
@@ -249,6 +251,11 @@ class Parser {
 void SerializeTo(const JsonValue& value, std::string* out);
 
 void SerializeNumber(double d, std::string* out) {
+  // JSON has no NaN or infinity literal.
+  if (!std::isfinite(d)) {
+    out->append("null");
+    return;
+  }
   // %.17g round-trips every double; trim to the shortest form that does.
   char buf[32];
   for (int precision : {15, 16, 17}) {
@@ -265,7 +272,7 @@ void SerializeTo(const JsonValue& value, std::string* out) {
     out->append(value.as_bool() ? "true" : "false");
   } else if (value.is_string()) {
     out->push_back('"');
-    out->append(JsonEscapeString(value.as_string()));
+    AppendJsonEscaped(out, value.as_string());
     out->push_back('"');
   } else if (value.is_array()) {
     out->push_back('[');
@@ -282,7 +289,7 @@ void SerializeTo(const JsonValue& value, std::string* out) {
       if (!first) out->push_back(',');
       first = false;
       out->push_back('"');
-      out->append(JsonEscapeString(key));
+      AppendJsonEscaped(out, key);
       out->append("\":");
       SerializeTo(member, out);
     }
@@ -295,31 +302,6 @@ void SerializeTo(const JsonValue& value, std::string* out) {
 }
 
 }  // namespace
-
-std::string JsonEscapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string JsonValue::Serialize() const {
   std::string out;

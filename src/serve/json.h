@@ -79,7 +79,9 @@ class JsonValue {
   }
 
   /// Compact single-line serialization (no spaces, sorted object keys,
-  /// "\n"-free — safe to frame as one protocol line).
+  /// "\n"-free — safe to frame as one protocol line). Doubles print at
+  /// the shortest round-trip precision; a NaN or infinity prints as
+  /// null, since JSON has no literal for it.
   std::string Serialize() const;
 
   /// Strict parse of a complete JSON document. Rejects trailing
@@ -92,10 +94,6 @@ class JsonValue {
                Object>
       value_;
 };
-
-/// Escapes `s` for inclusion in a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string JsonEscapeString(const std::string& s);
 
 }  // namespace cfcm::serve
 

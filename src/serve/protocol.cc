@@ -41,13 +41,6 @@ StatusOr<std::string> GetString(const JsonValue& request,
   return field->as_string();
 }
 
-JsonValue::Array GroupToJson(const std::vector<NodeId>& group) {
-  JsonValue::Array array;
-  array.reserve(group.size());
-  for (NodeId u : group) array.emplace_back(static_cast<int64_t>(u));
-  return array;
-}
-
 // A wire node id must fit NodeId exactly — a silent int64 -> int32 (or
 // 0.9 -> 0) truncation would address a DIFFERENT, valid node or edge.
 // Requiring the codec's exact-int64 storage also keeps huge doubles
@@ -623,11 +616,8 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
       return ErrorResponseFor(
           request, Status::InvalidArgument("'eps' must be a number"));
     }
+    // The engine checks the range (Engine::RunSolve).
     eps = field->as_double();
-    if (!(eps > 0.0) || eps > 1.0) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument("'eps' must be in (0, 1]"));
-    }
   }
   SelectionMode selection = SelectionMode::kLazy;
   if (const JsonValue* field = request.Find("selection")) {
@@ -776,33 +766,18 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
     }
   }
 
-  JsonValue::Object response{
-      {"op", "solve"},
-      {"graph", *name},
-      {"algorithm", algorithm},
-      {"k", *k},
-      {"eps", eps},
-      {"seed", *seed},
-      {"cache", cache_state},
-      // "selection" (the chosen group) predates the mode field; the
-      // strategy rides alongside as "selection_mode".
-      {"selection", JsonValue(GroupToJson(solve->output.selected))},
-      {"selection_mode", SelectionModeName(selection)},
-      // Resolved exact kernel; empty when the algorithm never ran exact
-      // algebra (pure samplers / heuristics).
-      {"solver_backend", solve->output.solver_backend},
-      {"cfcc", solve->cfcc},
-      // Incremental warm-start outcome (DESIGN.md §16).
-      {"warm", cfcm::WarmModeName(warm_mode)},
-      {"warm_started", solve->output.warm_started},
-      {"cold_fallback", solve->output.cold_fallback},
-      // Solver cost of the result; on a hit this is the original solve's
-      // time, not this request's latency.
-      {"seconds", solve->output.seconds},
-  };
-  for (const cfcm::SolveCounter& counter : cfcm::kSolveCounters) {
-    response[counter.key] = JsonValue(solve->output.*counter.field);
-  }
+  JsonValue::Object response = SolveJobResultJson(*solve);
+  response["op"] = "solve";
+  response["graph"] = *name;
+  response["algorithm"] = algorithm;
+  response["k"] = *k;
+  response["eps"] = eps;
+  response["seed"] = *seed;
+  response["cache"] = cache_state;
+  // "selection" (the chosen group) predates the mode field; the
+  // strategy rides alongside as "selection_mode".
+  response["selection_mode"] = SelectionModeName(selection);
+  response["warm"] = cfcm::WarmModeName(warm_mode);
   if (cache_state == "stale") {
     // The answer describes an ancestor graph; the composed factors
     // bound the current C(S) of ITS group: C' ∈ [lo·C, hi·C].
@@ -851,14 +826,10 @@ JsonValue ServeHandler::HandleEvaluate(const JsonValue& request,
   if (!result.ok()) return ErrorResponseFor(request, result.status());
   const auto& eval = std::get<engine::EvaluateJobResult>(*result);
 
-  return OkResponse({
-      {"op", "evaluate"},
-      {"graph", *name},
-      {"cfcc", eval.cfcc},
-      {"trace", eval.trace},
-      {"trace_std_error", eval.trace_std_error},
-      {"solver_backend", eval.solver_backend},
-  });
+  JsonValue::Object response = EvaluateJobResultJson(eval);
+  response["op"] = "evaluate";
+  response["graph"] = *name;
+  return OkResponse(std::move(response));
 }
 
 JsonValue ServeHandler::HandleMutate(const JsonValue& request,
@@ -999,34 +970,15 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   }
   const auto& augment = std::get<engine::AugmentJobResult>(*result);
 
-  JsonValue::Array added;
-  added.reserve(augment.added.size());
-  for (const auto& [u, v] : augment.added) {
-    added.push_back(JsonValue(JsonValue::Array{
-        JsonValue(static_cast<int64_t>(u)),
-        JsonValue(static_cast<int64_t>(v)),
-    }));
-  }
-  JsonValue::Array trace_after;
-  trace_after.reserve(augment.trace_after.size());
-  for (double trace : augment.trace_after) trace_after.emplace_back(trace);
-
-  JsonValue::Object response{
-      {"op", "augment"},
-      {"graph", *name},
-      {"k", *k},
-      {"candidates", candidates == EdgeCandidates::kAny ? "any" : "group"},
-      {"added", JsonValue(std::move(added))},
-      {"initial_trace", augment.initial_trace},
-      {"trace_after", JsonValue(std::move(trace_after))},
-      {"cfcc_before", augment.cfcc_before},
-      {"cfcc_after", augment.cfcc_after},
-      {"seconds", augment.seconds},
-      {"solver_backend", augment.solver_backend},
-      // Mirrors the guard below: "applied" is true only when a
-      // mutation actually lands (and the summary fields appear).
-      {"applied", apply && !augment.added.empty()},
-  };
+  JsonValue::Object response = AugmentJobResultJson(augment);
+  response["op"] = "augment";
+  response["graph"] = *name;
+  response["k"] = *k;
+  response["candidates"] =
+      candidates == EdgeCandidates::kAny ? "any" : "group";
+  // Mirrors the guard below: "applied" is true only when a mutation
+  // actually lands (and the summary fields appear).
+  response["applied"] = apply && !augment.added.empty();
   if (apply && !augment.added.empty()) {
     // Feed the chosen edges back through the mutation pipeline. A delta
     // racing in between merges by the parallel-conductor rule; the
@@ -1206,6 +1158,52 @@ JsonValue ServeHandler::HandleShutdown(const JsonValue& /*request*/,
                                        obs::FlightRecord* /*record*/) {
   shutdown_.store(true, std::memory_order_release);
   return OkResponse({{"op", "shutdown"}});
+}
+
+JsonValue::Object SolveJobResultJson(const engine::SolveJobResult& result) {
+  const CfcmResult& output = result.output;
+  JsonValue::Object fields;
+  fields.emplace("selection", JsonValue::Array(output.selected.begin(),
+                                               output.selected.end()));
+  fields.emplace("cfcc", result.cfcc);
+  for (const SolveCounter& counter : kSolveCounters) {
+    fields.emplace(counter.key, output.*counter.field);
+  }
+  fields.emplace("warm_started", output.warm_started);
+  fields.emplace("cold_fallback", output.cold_fallback);
+  fields.emplace("solver_backend", output.solver_backend);
+  fields.emplace("seconds", output.seconds);
+  return fields;
+}
+
+JsonValue::Object EvaluateJobResultJson(
+    const engine::EvaluateJobResult& result) {
+  return {
+      {"cfcc", result.cfcc},
+      {"trace", result.trace},
+      {"trace_std_error", result.trace_std_error},
+      {"solver_backend", result.solver_backend},
+  };
+}
+
+JsonValue::Object AugmentJobResultJson(const engine::AugmentJobResult& result) {
+  JsonValue::Array added;
+  added.reserve(result.added.size());
+  for (const auto& [u, v] : result.added) {
+    added.emplace_back(JsonValue::Array{static_cast<int64_t>(u),
+                                        static_cast<int64_t>(v)});
+  }
+  JsonValue::Array trace_after(result.trace_after.begin(),
+                               result.trace_after.end());
+  JsonValue::Object fields;
+  fields.emplace("added", std::move(added));
+  fields.emplace("initial_trace", result.initial_trace);
+  fields.emplace("trace_after", std::move(trace_after));
+  fields.emplace("cfcc_before", result.cfcc_before);
+  fields.emplace("cfcc_after", result.cfcc_after);
+  fields.emplace("solver_backend", result.solver_backend);
+  fields.emplace("seconds", result.seconds);
+  return fields;
 }
 
 JsonValue::Object FlightzJson(const obs::FlightRecorder& flight,

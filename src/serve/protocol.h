@@ -111,6 +111,26 @@ JsonValue MakeErrorResponse(const Status& status, const JsonValue* id);
 /// match error.code == "over_capacity" to decide to retry later.
 JsonValue MakeOverCapacityResponse();
 
+/// Job-result projections: the codec fields of one engine result, the
+/// single source of the solve / evaluate / augment result shape that
+/// the serve responses and `cfcm_cli --json` both emit (DESIGN.md §6,
+/// §10). Callers add only their request echo and their own fields.
+///
+/// Solve: "selection" (the group, in greedy order), "cfcc", every
+/// kSolveCounters key, the warm-start outcome "warm_started" and
+/// "cold_fallback" (DESIGN.md §16), "solver_backend" (the resolved
+/// exact kernel; empty when the algorithm ran no exact algebra) and
+/// "seconds" (the solver's time; a cache hit replays the original).
+JsonValue::Object SolveJobResultJson(const engine::SolveJobResult& result);
+/// Evaluate: "cfcc", "trace", "trace_std_error" (0 when exact) and
+/// "solver_backend".
+JsonValue::Object EvaluateJobResultJson(
+    const engine::EvaluateJobResult& result);
+/// Augment: "added" ([[u,v],...] in greedy order), "initial_trace",
+/// "trace_after", "cfcc_before", "cfcc_after", "solver_backend" and
+/// "seconds".
+JsonValue::Object AugmentJobResultJson(const engine::AugmentJobResult& result);
+
 /// Transport-measured phases of a request, handed to the handler so the
 /// per-op latency histograms and traces cover the whole request, not
 /// just the handler's slice. All nanoseconds; zero when unknown.

@@ -196,6 +196,22 @@ TEST(EngineTest, BadJobsFailIndividuallyWithoutPoisoningTheBatch) {
   EXPECT_EQ(std::get<SolveJobResult>(*results[5]).output.selected.size(), 4u);
 }
 
+TEST(EngineTest, RejectsEpsOutsideUnitInterval) {
+  // The one eps check shared by cfcm_cli and the serve protocol.
+  Engine engine{KarateClub()};
+  for (double eps : {0.0, -1.0, 1.5, std::nan("")}) {
+    for (const char* algorithm : {"forest", "exact"}) {
+      auto solve =
+          engine.Run(SolveJob{.algorithm = algorithm, .k = 3, .eps = eps});
+      EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument)
+          << algorithm << " eps=" << eps;
+    }
+  }
+  // The closed upper end is a valid budget.
+  EXPECT_TRUE(
+      engine.Run(SolveJob{.algorithm = "forest", .k = 3, .eps = 1.0}).ok());
+}
+
 TEST(EngineTest, RejectsDisconnectedGraphs) {
   // Two disjoint triangles.
   const Graph disconnected = BuildGraph(

@@ -84,6 +84,20 @@ TEST(EstimatorOptionsTest, TargetForestsRespectsCap) {
   EXPECT_EQ(ResolveTargetForests(opts, 1 << 20), 100);
 }
 
+TEST(EstimatorOptionsTest, TinyEpsResolvesToMaxForests) {
+  // On karate (n = 34) eps 1e-5 derives ~5e10 forests, past INT_MAX:
+  // the clamp must happen before the int cast, so a smaller eps never
+  // samples fewer forests than a larger one.
+  EstimatorOptions opts;
+  for (double eps : {1e-3, 1e-5, 1e-9}) {
+    opts.eps = eps;
+    EXPECT_EQ(ResolveTargetForests(opts, 34), opts.max_forests) << eps;
+  }
+  // An unbounded derivation (eps 0) also lands on the cap.
+  opts.eps = 0.0;
+  EXPECT_EQ(ResolveTargetForests(opts, 34), opts.max_forests);
+}
+
 TEST(EstimatorOptionsTest, DeltaDefaultsToOneOverN) {
   EstimatorOptions opts;
   EXPECT_DOUBLE_EQ(ResolveBernsteinDelta(opts, 500), 1.0 / 500);

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include "serve/json.h"
 
 namespace cfcm::obs {
 namespace {
@@ -82,6 +85,37 @@ TEST(LogEvent, MonoNsIsMonotoneAcrossEvents) {
   ASSERT_GT(first_ns, 0);
   ASSERT_GT(second_ns, 0);
   EXPECT_GE(second_ns, first_ns);
+}
+
+TEST(LogEvent, LineIsJsonWithEscapedStrings) {
+  // Keys and values go through the codec's escaper: the line parses back
+  // to the same strings, control characters included.
+  const std::string captured = CaptureStderr([] {
+    LogEvent(LogLevel::kError, "log_test_escape")
+        .Str("path", "a\"b\\c\b\f\n\x01")
+        .Str("k\"ey", "v");
+  });
+  ASSERT_FALSE(captured.empty());
+  StatusOr<serve::JsonValue> line =
+      serve::JsonValue::Parse(captured.substr(0, captured.find('\n')));
+  ASSERT_TRUE(line.ok()) << line.status().ToString() << "\n" << captured;
+  EXPECT_EQ(line->Find("path")->as_string(), "a\"b\\c\b\f\n\x01");
+  EXPECT_EQ(line->Find("k\"ey")->as_string(), "v");
+}
+
+TEST(LogEvent, NonFiniteDoubleIsNull) {
+  const std::string captured = CaptureStderr([] {
+    LogEvent(LogLevel::kError, "log_test_nan")
+        .Double("nan", std::nan(""))
+        .Double("inf", HUGE_VAL)
+        .Double("x", 0.5);
+  });
+  StatusOr<serve::JsonValue> line =
+      serve::JsonValue::Parse(captured.substr(0, captured.find('\n')));
+  ASSERT_TRUE(line.ok()) << line.status().ToString() << "\n" << captured;
+  EXPECT_TRUE(line->Find("nan")->is_null());
+  EXPECT_TRUE(line->Find("inf")->is_null());
+  EXPECT_EQ(line->Find("x")->as_double(), 0.5);
 }
 
 TEST(LogEvent, DroppedLevelEmitsNothing) {

@@ -10,7 +10,9 @@
 //   cfcm_cli --graph karate --evaluate 0,33,2
 //   cfcm_cli --graph karate --group 0,33 --augment 2 --candidates any
 //   cfcm_cli --list
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,11 +106,13 @@ void PrintUsage(std::FILE* out) {
                "                on this value\n"
                "  --lcc         reduce the input to its largest component\n"
                "  --verbose     per-phase timing breakdown on stderr (load,\n"
-               "                derived-state build, solver / score phases\n"
-               "                with forest and walk-step counts); jobs run\n"
+               "                then each job's solver / score phases with\n"
+               "                forest and walk-step counts); jobs run\n"
                "                sequentially so phases never interleave.\n"
                "                Results are unchanged\n"
-               "  --json        machine-readable output\n"
+               "  --json        one JSON document: the graph, the resolved\n"
+               "                thread count and one object per job, with\n"
+               "                the serve protocol's result fields\n"
                "  --list-solvers  list registered solvers (capabilities from\n"
                "                the registry) and exit; --list is an alias\n");
 }
@@ -119,10 +123,7 @@ using cfcm::ParseFloat64;
 using cfcm::ParseInt64;
 using cfcm::SplitString;
 
-// Escaping for JSON string literals (algorithm names, file paths and
-// Status messages are user-influenced) — the serving codec's escaper,
-// so CLI output and server output stay byte-compatible.
-using cfcm::serve::JsonEscapeString;
+using cfcm::serve::JsonValue;
 
 StatusOr<std::vector<NodeId>> ParseGroup(const std::string& spec,
                                          const char* flag) {
@@ -147,11 +148,9 @@ StatusOr<std::vector<NodeId>> ParseGroup(const std::string& spec,
 // otherwise a human-readable line goes to stderr.
 int FailWith(const Status& status, bool json, int exit_code) {
   if (json) {
-    cfcm::serve::JsonValue::Object error;
-    error["error"] = cfcm::serve::StatusToJsonError(status);
-    std::printf("%s\n", cfcm::serve::JsonValue(std::move(error))
-                            .Serialize()
-                            .c_str());
+    const JsonValue error(
+        JsonValue::Object{{"error", cfcm::serve::StatusToJsonError(status)}});
+    std::printf("%s\n", error.Serialize().c_str());
   } else {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   }
@@ -242,20 +241,25 @@ StatusOr<CliOptions> ParseArgs(int argc, char** argv) {
           return Status::InvalidArgument("bad integer for " + arg + ": '" +
                                          *value + "'");
         }
+        // Range-check BEFORE narrowing: a wrapped value would silently
+        // run a different request (--k 4294967298 as k=2, --augment 0 as
+        // no augment job AND no default solve). k, probes and seed take
+        // the serve protocol's request bounds.
+        const long long lo = arg == "--k" || arg == "--augment" ? 1 : 0;
+        const long long hi = arg == "--k"        ? 1'000'000'000
+                             : arg == "--probes" ? 1'000'000
+                             : arg == "--seed"   ? INT64_MAX
+                                                 : INT_MAX;
+        if (number < lo || number > hi) {
+          return Status::InvalidArgument(
+              arg + " must be in [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "], got " + *value);
+        }
         if (arg == "--k") options.k = static_cast<int>(number);
         if (arg == "--seed") options.seed = static_cast<uint64_t>(number);
         if (arg == "--probes") options.probes = static_cast<int>(number);
         if (arg == "--threads") options.threads = static_cast<int>(number);
-        if (arg == "--augment") {
-          // Range-check BEFORE narrowing: a wrapped value would either
-          // silently drop the request (<= 0: no augment job AND no
-          // default solve) or run with an unintended k.
-          if (number < 1 || number > std::numeric_limits<int>::max()) {
-            return Status::InvalidArgument(
-                "--augment must be a positive int, got " + *value);
-          }
-          options.augment = static_cast<int>(number);
-        }
+        if (arg == "--augment") options.augment = static_cast<int>(number);
       }
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
@@ -277,93 +281,46 @@ void ListSolvers() {
   }
 }
 
-void PrintJsonGroup(const std::vector<NodeId>& group) {
-  std::printf("[");
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    std::printf("%s%d", i ? "," : "", group[i]);
-  }
-  std::printf("]");
-}
-
-void PrintJsonEdges(const std::vector<std::pair<NodeId, NodeId>>& edges) {
-  std::printf("[");
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    std::printf("%s[%d,%d]", i ? "," : "", edges[i].first, edges[i].second);
-  }
-  std::printf("]");
-}
-
-// Writes one JSON object per job result; `spec` describes the request.
-void PrintJsonJob(const cfcm::engine::Job& spec,
-                  const StatusOr<cfcm::engine::JobResult>& result, bool last) {
-  std::printf("    {");
-  if (const auto* solve = std::get_if<cfcm::engine::SolveJob>(&spec)) {
-    std::printf(
-        "\"type\":\"solve\",\"algorithm\":\"%s\",\"k\":%d,\"eps\":%g,"
-        "\"seed\":%llu,\"selection\":\"%s\",",
-        JsonEscapeString(solve->algorithm).c_str(), solve->k, solve->eps,
-        static_cast<unsigned long long>(solve->seed),
-        cfcm::SelectionModeName(solve->selection));
-  } else if (const auto* augment =
-                 std::get_if<cfcm::engine::AugmentJob>(&spec)) {
-    std::printf("\"type\":\"augment\",\"k\":%d,\"candidates\":\"%s\","
-                "\"group\":",
-                augment->k,
-                augment->candidates == cfcm::EdgeCandidates::kAny ? "any"
-                                                                  : "group");
-    PrintJsonGroup(augment->group);
-    std::printf(",");
-  } else {
-    const auto& eval = std::get<cfcm::engine::EvaluateJob>(spec);
-    std::printf("\"type\":\"evaluate\",\"group\":");
-    PrintJsonGroup(eval.group);
-    std::printf(",\"probes\":%d,", eval.probes);
-  }
+// One --json job object: the serve protocol's result projection (or its
+// {"code","message"} error) plus the echo of the request.
+JsonValue JobJson(const cfcm::engine::Job& spec,
+                  const StatusOr<cfcm::engine::JobResult>& result) {
+  JsonValue::Object job;
   if (!result.ok()) {
-    std::printf("\"status\":\"error\",\"error\":\"%s\"}%s\n",
-                JsonEscapeString(result.status().ToString()).c_str(),
-                last ? "" : ",");
-    return;
-  }
-  if (const auto* solve =
-          std::get_if<cfcm::engine::SolveJobResult>(&*result)) {
-    std::printf("\"status\":\"ok\",\"selected\":");
-    PrintJsonGroup(solve->output.selected);
-    std::printf(",\"cfcc\":%.9g", solve->cfcc);
-    for (const cfcm::SolveCounter& counter : cfcm::kSolveCounters) {
-      std::printf(",\"%s\":%lld", counter.key,
-                  static_cast<long long>(solve->output.*counter.field));
-    }
-    std::printf(
-        ",\"warm_started\":%s,\"cold_fallback\":%s,"
-        "\"solver_backend\":\"%s\",\"seconds\":%.6f}",
-        solve->output.warm_started ? "true" : "false",
-        solve->output.cold_fallback ? "true" : "false",
-        JsonEscapeString(solve->output.solver_backend).c_str(),
-        solve->output.seconds);
+    job["error"] = cfcm::serve::StatusToJsonError(result.status());
+  } else if (const auto* solve =
+                 std::get_if<cfcm::engine::SolveJobResult>(&*result)) {
+    job = cfcm::serve::SolveJobResultJson(*solve);
   } else if (const auto* augment =
                  std::get_if<cfcm::engine::AugmentJobResult>(&*result)) {
-    std::printf("\"status\":\"ok\",\"added\":");
-    PrintJsonEdges(augment->added);
-    std::printf(",\"initial_trace\":%.9g,\"trace_after\":[",
-                augment->initial_trace);
-    for (std::size_t i = 0; i < augment->trace_after.size(); ++i) {
-      std::printf("%s%.9g", i ? "," : "", augment->trace_after[i]);
-    }
-    std::printf("],\"cfcc_before\":%.9g,\"cfcc_after\":%.9g,"
-                "\"solver_backend\":\"%s\",\"seconds\":%.6f}",
-                augment->cfcc_before, augment->cfcc_after,
-                JsonEscapeString(augment->solver_backend).c_str(),
-                augment->seconds);
+    job = cfcm::serve::AugmentJobResultJson(*augment);
   } else {
-    const auto& eval = std::get<cfcm::engine::EvaluateJobResult>(*result);
-    std::printf(
-        "\"status\":\"ok\",\"cfcc\":%.9g,\"trace\":%.9g,"
-        "\"trace_std_error\":%.3g,\"solver_backend\":\"%s\"}",
-        eval.cfcc, eval.trace, eval.trace_std_error,
-        JsonEscapeString(eval.solver_backend).c_str());
+    job = cfcm::serve::EvaluateJobResultJson(
+        std::get<cfcm::engine::EvaluateJobResult>(*result));
   }
-  std::printf("%s\n", last ? "" : ",");
+  job["status"] = result.ok() ? "ok" : "error";
+  if (const auto* solve = std::get_if<cfcm::engine::SolveJob>(&spec)) {
+    job["type"] = "solve";
+    job["algorithm"] = solve->algorithm;
+    job["k"] = solve->k;
+    job["eps"] = solve->eps;
+    job["seed"] = solve->seed;
+    job["selection_mode"] = cfcm::SelectionModeName(solve->selection);
+  } else if (const auto* augment =
+                 std::get_if<cfcm::engine::AugmentJob>(&spec)) {
+    job["type"] = "augment";
+    job["k"] = augment->k;
+    job["candidates"] =
+        augment->candidates == cfcm::EdgeCandidates::kAny ? "any" : "group";
+    job["group"] = JsonValue::Array(augment->group.begin(),
+                                    augment->group.end());
+  } else {
+    const auto& eval = std::get<cfcm::engine::EvaluateJob>(spec);
+    job["type"] = "evaluate";
+    job["group"] = JsonValue::Array(eval.group.begin(), eval.group.end());
+    job["probes"] = eval.probes;
+  }
+  return job;
 }
 
 void PrintTextJob(const cfcm::engine::Job& spec,
@@ -601,16 +558,7 @@ int main(int argc, char** argv) {
   // inverse and minutes of O(n^3) work — a sane local limit; beyond it
   // the engine's rejection names the ceiling.
   engine_options.augment_max_n = 4096;
-  std::size_t build_span = 0;
-  if (cli.verbose) build_span = trace.BeginSpan("derived_state");
   cfcm::engine::Engine engine{std::move(graph), engine_options};
-  if (cli.verbose) {
-    // Touch the Laplacian so the derived-state phase is charged here
-    // rather than lazily inside the first job's solver span.
-    (void)engine.session().laplacian();
-    trace.EndSpan(build_span);
-    PrintSpans(trace, trace.spans().size() - 1, "");
-  }
 
   std::vector<StatusOr<cfcm::engine::JobResult>> results;
   if (cli.verbose) {
@@ -656,21 +604,26 @@ int main(int argc, char** argv) {
   // the resolved --threads value.
   const int resolved_threads = static_cast<int>(session.pool().num_threads());
   if (cli.json) {
-    std::printf("{\n  \"graph\":{\"source\":\"%s\",\"nodes\":%d,"
-                "\"edges\":%lld,\"dmax\":%d,\"weighted\":%s,"
-                "\"total_weight\":%.9g,\"connected\":%s,\"lcc\":%s},\n"
-                "  \"threads\":%d,\n"
-                "  \"jobs\":[\n",
-                JsonEscapeString(cli.graph_source).c_str(), session.num_nodes(),
-                static_cast<long long>(session.num_edges()), dmax,
-                session.is_weighted() ? "true" : "false",
-                session.total_weight(),
-                session.is_connected() ? "true" : "false",
-                to_original.empty() ? "false" : "true", resolved_threads);
+    JsonValue::Array jobs_json;
+    jobs_json.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      PrintJsonJob(jobs[i], results[i], i + 1 == jobs.size());
+      jobs_json.push_back(JobJson(jobs[i], results[i]));
     }
-    std::printf("  ]\n}\n");
+    const JsonValue document(JsonValue::Object{
+        {"graph", JsonValue::Object{
+                      {"source", cli.graph_source},
+                      {"nodes", session.num_nodes()},
+                      {"edges", static_cast<int64_t>(session.num_edges())},
+                      {"dmax", dmax},
+                      {"weighted", session.is_weighted()},
+                      {"total_weight", session.total_weight()},
+                      {"connected", session.is_connected()},
+                      {"lcc", !to_original.empty()},
+                  }},
+        {"threads", resolved_threads},
+        {"jobs", std::move(jobs_json)},
+    });
+    std::printf("%s\n", document.Serialize().c_str());
   } else {
     std::printf("graph %s: n=%d, m=%lld, dmax=%d, threads=%d",
                 cli.graph_source.c_str(), session.num_nodes(),

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +146,14 @@ int RunServe(int argc, char** argv) {
         }
         server_options.port = static_cast<int>(number);
       }
+      // Range-check BEFORE narrowing: 4294967297 must not wrap to 1.
+      if ((arg == "--workers" || arg == "--threads" ||
+           arg == "--watchdog-ms") &&
+          number > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "error: %s must be in [0, %d], got '%s'\n",
+                     arg.c_str(), std::numeric_limits<int>::max(), value);
+        return 2;
+      }
       if (arg == "--workers") {
         server_options.num_workers = static_cast<int>(number);
       }
@@ -194,7 +203,9 @@ int RunServe(int argc, char** argv) {
       cfcm::obs::SetMinLogLevel(level);
     } else if (arg == "--slow-request-ms") {
       const char* value = need_value();
-      if (!ParseLong(value, &number) || number < 0) {
+      // Bounded so the microsecond threshold below cannot overflow.
+      if (!ParseLong(value, &number) || number < 0 ||
+          number > std::numeric_limits<int64_t>::max() / 1000) {
         std::fprintf(stderr, "error: bad value for --slow-request-ms: '%s'\n",
                      value);
         return 2;
@@ -248,10 +259,14 @@ int RunServe(int argc, char** argv) {
     return 1;
   }
   // One machine-readable line so wrappers can discover the bound ports.
-  std::printf("{\"serving\":true,\"host\":\"%s\",\"port\":%d,"
-              "\"admin_port\":%d,\"graphs\":%zu}\n",
-              server_options.host.c_str(), server.port(), server.admin_port(),
-              preloads.size());
+  const JsonValue ready(JsonValue::Object{
+      {"serving", true},
+      {"host", server_options.host},
+      {"port", server.port()},
+      {"admin_port", server.admin_port()},
+      {"graphs", static_cast<int64_t>(preloads.size())},
+  });
+  std::printf("%s\n", ready.Serialize().c_str());
   std::fflush(stdout);
 
   // On SIGTERM/SIGINT: dump the flight recorder (the post-hoc record of
@@ -265,21 +280,19 @@ int RunServe(int argc, char** argv) {
     cfcm::obs::LogEvent(cfcm::obs::LogLevel::kWarn, "terminating")
         .Int("signal", sig);
     if (cfcm::obs::FlightRecorder* flight = handler.flight_recorder()) {
-      for (const auto& record : flight->Pinned(flight->options()
-                                                   .pinned_capacity)) {
-        std::fprintf(stderr,
-                     "{\"event\":\"flight_record\",\"ring\":\"pinned\","
-                     "\"record\":%s}\n",
-                     cfcm::serve::FlightRecordJson(record)
-                         .Serialize().c_str());
+      auto dump = [](const char* ring, const cfcm::obs::FlightRecord& record) {
+        const JsonValue line(JsonValue::Object{
+            {"event", "flight_record"},
+            {"ring", ring},
+            {"record", cfcm::serve::FlightRecordJson(record)},
+        });
+        std::fprintf(stderr, "%s\n", line.Serialize().c_str());
+      };
+      for (const auto& record :
+           flight->Pinned(flight->options().pinned_capacity)) {
+        dump("pinned", record);
       }
-      for (const auto& record : flight->Recent(32)) {
-        std::fprintf(stderr,
-                     "{\"event\":\"flight_record\",\"ring\":\"recent\","
-                     "\"record\":%s}\n",
-                     cfcm::serve::FlightRecordJson(record)
-                         .Serialize().c_str());
-      }
+      for (const auto& record : flight->Recent(32)) dump("recent", record);
     }
     server.Shutdown();
   });
